@@ -77,14 +77,6 @@ def _fail(path: NodePath, kind: str, message: str, suggestion=None) -> "DecodeEr
     return DecodeError(TlError(path, kind, message, suggestion))
 
 
-def _number_text(value) -> str:
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ConversionError(f"non-finite number {value!r} has no JSON text")
-        return repr(value)
-    return str(value)
-
-
 def _check_key(key) -> str:
     if not isinstance(key, str):
         raise ConversionError(f"object key {key!r} is not a string")
@@ -115,7 +107,7 @@ def _project_member(key, value) -> TreeNode:
 
 def _project_element(value) -> TreeNode:
     # Array elements have no key: first word is empty.
-    if _is_scalar(value) and not _is_multiline(value):
+    if not isinstance(value, (dict, list)) and not _is_multiline(value):
         return TreeNode(WORD_SEP + _scalar_text(value))
     return _project_into(TreeNode(""), value)
 
@@ -126,16 +118,13 @@ def _project_into(node: TreeNode, value) -> TreeNode:
     elif isinstance(value, list):
         node.children = [_project_element(v) for v in value]
     elif _is_multiline(value):
-        node.children = [TreeNode(line) for line in value.split(NEWLINE)]
+        # A sub-document, as in JsonTL, so the tree equals its re-parse.
+        node.children = parse(value).roots
     else:
         text = _scalar_text(value)
         if text:
             node.set_line(node.line + WORD_SEP + text)
     return node
-
-
-def _is_scalar(value) -> bool:
-    return not isinstance(value, (dict, list))
 
 
 def _is_multiline(value) -> bool:
@@ -151,8 +140,12 @@ def _scalar_text(value) -> str:
         return "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, float)):
-        return _number_text(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConversionError(f"non-finite number {value!r} has no JSON text")
+        return repr(value)
+    if isinstance(value, int):
+        return str(value)
     raise ConversionError(f"{type(value).__name__} is not a JSON value")
 
 
@@ -176,19 +169,12 @@ def _encode(value, key) -> TreeNode:
         node.children = [_encode(v, k) for k, v in value.items()]
     elif isinstance(value, list):
         node.children = [_encode(v, None) for v in value]
-    elif isinstance(value, str):
-        if NEWLINE in value:
-            # Child lines, not escapes: the text is stored as the
-            # sub-document it already is.
-            node.children = parse(value).roots
-        elif value:
-            node.set_line(head + WORD_SEP + value)
-    elif value is True:
-        node.set_line(head + WORD_SEP + "true")
-    elif value is False:
-        node.set_line(head + WORD_SEP + "false")
-    elif value is not None:
-        node.set_line(head + WORD_SEP + _number_text(value))
+    elif _is_multiline(value):
+        # Child lines, not escapes: the text is stored as the
+        # sub-document it already is.
+        node.children = parse(value).roots
+    elif value is not None and value != "":
+        node.set_line(head + WORD_SEP + _scalar_text(value))
     return node
 
 
@@ -265,16 +251,17 @@ def _decode(node: TreeNode, path: NodePath, keyed: bool):
         if node.children:
             if rest:
                 raise _fail(path, CELL_TYPE_MISMATCH, "string node has both inline text and child lines")
-            sub = TreeDocument()
-            sub.roots = [child.clone() for child in node.children]
-            return key, serialize(sub)
+            return key, serialize(TreeDocument(node.children))
         return key, rest
     if tag == "n":
         if rest == "":
             raise _fail(path, ARITY_MISMATCH, "number node is missing its value")
         if WORD_SEP in rest or _JSON_NUMBER.fullmatch(rest) is None:
             raise _fail(path, CELL_TYPE_MISMATCH, f"{rest!r} is not a JSON number")
-        return key, json.loads(rest)
+        number = json.loads(rest)
+        if isinstance(number, float) and math.isinf(number):
+            raise _fail(path, CELL_TYPE_MISMATCH, f"{rest!r} overflows to infinity")
+        return key, number
     if tag == "b":
         if rest == "":
             raise _fail(path, ARITY_MISMATCH, "boolean node is missing its value")

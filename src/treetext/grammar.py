@@ -51,6 +51,7 @@ from treetext.core import (
     TreeDocument,
     TreeError,
     TreeNode,
+    _map_blocks,
     parse,
 )
 
@@ -143,20 +144,22 @@ class Grammar:
     cell_types: "dict[str, CellTypeDef]" = field(default_factory=dict)
     root_types: "tuple[str, ...]" = ()
     root_catch_all: Optional[str] = None
+    # The children admissible under each node type, keyed by its name;
+    # the key None holds the depth-0 context.
+    _contexts: "dict[Optional[str], _Context]" = field(init=False, repr=False, compare=False)
 
-    def _root_context(self) -> "_Context":
-        named = tuple(
-            self.node_types[n] for n in self.root_types if n != self.root_catch_all
-        )
-        return _Context(
-            named,
-            self.node_types[self.root_catch_all] if self.root_catch_all else None,
-        )
-
-    def _child_context(self, node_type: NodeTypeDef) -> "_Context":
-        return _Context(
-            tuple(self.node_types[n] for n in node_type.child_types),
-            self.node_types[node_type.catch_all_child] if node_type.catch_all_child else None,
+    def __post_init__(self) -> None:
+        types = self.node_types
+        self._contexts = {
+            nt.name: _Context(
+                tuple(types[n] for n in nt.child_types),
+                types[nt.catch_all_child] if nt.catch_all_child else None,
+            )
+            for nt in types.values()
+        }
+        self._contexts[None] = _Context(
+            tuple(types[n] for n in self.root_types if n != self.root_catch_all),
+            types[self.root_catch_all] if self.root_catch_all else None,
         )
 
 
@@ -184,49 +187,49 @@ class _Context:
 def load_grammar(text: str) -> Grammar:
     """Parse and validate a grammar file. Raises GrammarLoadError."""
     doc = parse(text)
-    grammar = Grammar()
-    named = False
+    name: Optional[str] = None
+    node_types: "dict[str, NodeTypeDef]" = {}
+    cell_types: "dict[str, CellTypeDef]" = {}
     pending_refs: "list[tuple[NodePath, str, str]]" = []  # (path, kind, name)
 
     for i, block in enumerate(doc.roots):
         words = block.words
         keyword = words[0]
         if keyword == "grammar":
-            if named:
+            if name is not None:
                 raise GrammarLoadError("duplicate grammar name", (i,))
             if block.children:
                 raise GrammarLoadError("grammar directive takes no children", (i,))
-            grammar.name = block.content
-            named = True
+            name = block.content
         elif keyword == "nodetype":
-            name = _block_name(block, (i,))
-            if name in grammar.node_types:
-                raise GrammarLoadError(f"duplicate nodetype {name!r}", (i,))
-            grammar.node_types[name] = _load_node_type(name, block, (i,), grammar, pending_refs)
+            type_name = _block_name(block, (i,))
+            if type_name in node_types:
+                raise GrammarLoadError(f"duplicate nodetype {type_name!r}", (i,))
+            node_types[type_name] = _load_node_type(type_name, block, (i,), pending_refs)
         elif keyword == "celltype":
-            name = _block_name(block, (i,))
-            if name in grammar.cell_types:
-                raise GrammarLoadError(f"duplicate celltype {name!r}", (i,))
-            grammar.cell_types[name] = _load_cell_type(name, block, (i,))
+            type_name = _block_name(block, (i,))
+            if type_name in cell_types:
+                raise GrammarLoadError(f"duplicate celltype {type_name!r}", (i,))
+            cell_types[type_name] = _load_cell_type(type_name, block, (i,))
         elif block.line == "":
             continue  # blank separator lines are fine
         else:
             raise GrammarLoadError(f"unknown directive {keyword!r}", (i,))
 
-    for path, kind, name in pending_refs:
-        if kind == "cell" and name not in grammar.cell_types:
-            raise GrammarLoadError(f"reference to unknown celltype {name!r}", path)
-        if kind == "node" and name not in grammar.node_types:
-            raise GrammarLoadError(f"reference to unknown nodetype {name!r}", path)
+    for path, kind, ref in pending_refs:
+        if kind == "cell" and ref not in cell_types:
+            raise GrammarLoadError(f"reference to unknown celltype {ref!r}", path)
+        if kind == "node" and ref not in node_types:
+            raise GrammarLoadError(f"reference to unknown nodetype {ref!r}", path)
 
-    grammar.root_types = tuple(n for n, nt in grammar.node_types.items() if nt.is_root)
-    catch_all_roots = [n for n, nt in grammar.node_types.items() if nt.is_root_catch_all]
+    root_types = tuple(n for n, nt in node_types.items() if nt.is_root)
+    catch_all_roots = [n for n, nt in node_types.items() if nt.is_root_catch_all]
     if len(catch_all_roots) > 1:
         raise GrammarLoadError("more than one catch-all root nodetype")
-    grammar.root_catch_all = catch_all_roots[0] if catch_all_roots else None
-    if not grammar.root_types:
+    if not root_types:
         raise GrammarLoadError("empty root type set: no nodetype is marked root")
-    return grammar
+    root_catch_all = catch_all_roots[0] if catch_all_roots else None
+    return Grammar(name or "", node_types, cell_types, root_types, root_catch_all)
 
 
 def _block_name(block: TreeNode, path: NodePath) -> str:
@@ -249,7 +252,7 @@ def _word_list(node: TreeNode, path: NodePath) -> "tuple[str, ...]":
     return values
 
 
-def _load_node_type(name, block, path, grammar, pending_refs) -> NodeTypeDef:
+def _load_node_type(name, block, path, pending_refs) -> NodeTypeDef:
     nt = NodeTypeDef(name=name, match=name)
     for j, directive in enumerate(block.children):
         dpath = path + (j,)
@@ -323,31 +326,32 @@ def check(doc: TreeDocument, grammar: Grammar) -> "list[TlError]":
     concatenation of two documents are the union of their separate
     errors with the second document's paths offset.
     """
-    errors: "list[TlError]" = []
-    context = grammar._root_context()
-    for i, root in enumerate(doc.roots):
-        _check_node(root, (i,), context, grammar, errors)
-    return errors
+    return _check_roots(doc.roots, 0, len(doc.roots), grammar)
 
 
 def check_parallel(doc: TreeDocument, grammar: Grammar, max_workers: Optional[int] = None) -> "list[TlError]":
-    """Check depth-0 subtrees concurrently; result equals ``check``."""
-    from concurrent.futures import ThreadPoolExecutor
+    """Check depth-0 subtrees concurrently; result equals ``check``.
 
-    context = grammar._root_context()
-
-    def check_root(item: "tuple[int, TreeNode]") -> "list[TlError]":
-        i, root = item
-        errors: "list[TlError]" = []
-        _check_node(root, (i,), context, grammar, errors)
-        return errors
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        per_root = list(pool.map(check_root, enumerate(doc.roots)))
-    return [e for errors in per_root for e in errors]
+    Each worker checks one contiguous run of depth-0 subtrees.  Under
+    CPython's global interpreter lock this demonstrates that the
+    subtrees are independent; it is not a speedup.
+    """
+    roots = doc.roots
+    return _map_blocks(
+        lambda lo, hi: _check_roots(roots, lo, hi, grammar), range(len(roots)), len(roots), max_workers
+    )
 
 
-def _check_node(node, path, context, grammar, errors) -> None:
+def _check_roots(roots, lo, hi, grammar) -> "list[TlError]":
+    errors: "list[TlError]" = []
+    for i in range(lo, hi):
+        _check_node(roots[i], (i,), None, grammar, errors)
+    return errors
+
+
+def _check_node(node, path, parent, grammar, errors) -> None:
+    # ``parent`` names the parent's node type; None at depth 0.
+    context = grammar._contexts[parent]
     node_type = context.resolve(node.first_word)
     if node_type is None:
         first = node.first_word
@@ -381,23 +385,14 @@ def _check_node(node, path, context, grammar, errors) -> None:
                 )
             )
         return
-    child_context = grammar._child_context(node_type)
     for j, child in enumerate(node.children):
-        _check_node(child, path + (j,), child_context, grammar, errors)
+        _check_node(child, path + (j,), node_type.name, grammar, errors)
 
 
 def _check_cells(node, path, node_type, grammar, errors) -> None:
     values = node.words[1:]
     cells = node_type.cells
-    if len(values) < len(cells):
-        errors.append(
-            TlError(
-                path,
-                ARITY_MISMATCH,
-                f"expected {len(cells)} cells after {node.first_word!r}, got {len(values)}",
-            )
-        )
-    elif len(values) > len(cells) and node_type.catch_all_cell is None:
+    if len(values) < len(cells) or (len(values) > len(cells) and node_type.catch_all_cell is None):
         errors.append(
             TlError(
                 path,
@@ -503,17 +498,15 @@ def compile_doc(doc: TreeDocument, grammar: Grammar) -> str:
             f"document has {len(errors)} error(s); fix them before compiling",
             errors=tuple(errors),
         )
-    context = grammar._root_context()
     return NEWLINE.join(
-        _render(root, (i,), context, grammar) for i, root in enumerate(doc.roots)
+        _render(root, (i,), None, grammar) for i, root in enumerate(doc.roots)
     )
 
 
-def _render(node, path, context, grammar) -> str:
-    node_type = context.resolve(node.first_word)  # check passed: never None
-    child_context = grammar._child_context(node_type)
+def _render(node, path, parent, grammar) -> str:
+    node_type = grammar._contexts[parent].resolve(node.first_word)  # check passed: never None
     rendered = [
-        _render(child, path + (j,), child_context, grammar)
+        _render(child, path + (j,), node_type.name, grammar)
         for j, child in enumerate(node.children)
     ]
     if node_type.template is None:

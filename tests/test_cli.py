@@ -106,6 +106,12 @@ def test_to_json_decode_error(write):
     assert result.code == 1 and "unknown tag" in result.err
 
 
+def test_to_json_rejects_number_overflow(write):
+    result = run_cli(["to-json", write("doc.tn", "n 1e400\n")])
+    assert result.code == 1 and result.out == ""
+    assert "overflows" in result.err
+
+
 def test_json_round_trip_through_cli(write, tmp_path):
     value = {"a": [1, True, None], "b": {"s": "line one\nline two"}}
     vpath = write("v.json", json.dumps(value))

@@ -50,6 +50,11 @@ def test_multiline_string_projects_to_child_lines():
         "source\n import hn.np as lz\n print(\"aaronsw pdm ah as mo gb 28-3\")"
     )
     assert len(doc.roots[0].children) == 2
+    # a continuation line nests under the line before it, as on re-parse
+    doc = from_json_untyped({"k": "a\n b"})
+    assert [(p, n.line) for p, n in doc.walk()] == [
+        (p, n.line) for p, n in parse(serialize(doc)).walk()
+    ]
 
 
 def test_scalars_render_as_canonical_json_text():
@@ -217,7 +222,7 @@ def test_decode_rejects_wrong_root_counts():
 
 
 def test_decoder_rejects_non_json_numbers():
-    for text in ["n Infinity", "n NaN", "n 01", "n +1", "n 1.", "n .5", "n 0x10"]:
+    for text in ["n Infinity", "n NaN", "n 01", "n +1", "n 1.", "n .5", "n 0x10", "n 1e400", "n -1e400"]:
         assert _decode_error(text).kind == "cellTypeMismatch", text
 
 

@@ -10,6 +10,7 @@ from helpers import random_document
 from treetext import (
     CompileError,
     GrammarLoadError,
+    TreeDocument,
     autofix,
     check,
     check_parallel,
@@ -18,6 +19,7 @@ from treetext import (
     load_builtin_grammar,
     load_grammar,
     parse,
+    parse_parallel,
     serialize,
     to_map,
 )
@@ -245,10 +247,20 @@ def test_independence_of_concatenated_documents(jsontl):
 
 def test_parallel_check_matches_sequential(jsontl, maptl):
     rng = random.Random(11)
-    for _ in range(20):
-        doc = random_document(rng)
+    docs = [TreeDocument()] + [random_document(rng) for _ in range(20)]
+    for doc in docs:
         for grammar in (jsontl, maptl):
-            assert check_parallel(doc, grammar, max_workers=4) == check(doc, grammar)
+            expected = check(doc, grammar)
+            for workers in (1, 2, 3, 4, 7):
+                assert check_parallel(doc, grammar, max_workers=workers) == expected
+
+
+def test_parallel_calls_reject_nonpositive_workers(maptl):
+    text = "a 1\nb 2"
+    with pytest.raises(ValueError):
+        parse_parallel(text, max_workers=0)
+    with pytest.raises(ValueError):
+        check_parallel(parse(text), maptl, max_workers=0)
 
 
 # ---------------------------------------------------------------------------
