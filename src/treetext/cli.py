@@ -67,10 +67,6 @@ def _read_data(path: str) -> str:
     return text[:-1] if text.endswith(NEWLINE) else text
 
 
-def _write_exact(text: str) -> None:
-    sys.stdout.write(text)
-
-
 def _write_line(text: str) -> None:
     if text:
         sys.stdout.write(text + NEWLINE)
@@ -100,7 +96,7 @@ def _errors_to_tree(errors: "list[TlError]") -> TreeDocument:
 
 
 def _cmd_fmt(args) -> int:
-    _write_exact(serialize(parse(_read_raw(args.file))))
+    sys.stdout.write(serialize(parse(_read_raw(args.file))))
     return 0
 
 
@@ -132,7 +128,7 @@ def _cmd_diff(args) -> int:
 def _cmd_patch(args) -> int:
     patch = parse(_read_data(args.patchfile))
     result = apply_patch(patch, parse(_read_raw(args.a)))
-    _write_exact(serialize(result))
+    sys.stdout.write(serialize(result))
     return 0
 
 
@@ -211,7 +207,9 @@ def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TreeError, json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
+    except (TreeError, OSError, ValueError) as exc:
+        # ValueError includes malformed JSON, non-UTF-8 input and JSON
+        # integers past the interpreter's int-to-string digit limit.
         print(f"treetext: {exc}", file=sys.stderr)
         return 1
 

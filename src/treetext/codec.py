@@ -96,13 +96,8 @@ def from_json_untyped(value: JsonValue) -> TreeDocument:
     if not isinstance(value, dict):
         raise ConversionError("untyped projection takes a JSON object at top level")
     doc = TreeDocument()
-    doc.roots = [_project_member(k, v) for k, v in value.items()]
+    doc.roots = [_project_into(TreeNode(_check_key(k)), v) for k, v in value.items()]
     return doc
-
-
-def _project_member(key, value) -> TreeNode:
-    node = TreeNode(_check_key(key))
-    return _project_into(node, value)
 
 
 def _project_element(value) -> TreeNode:
@@ -114,7 +109,7 @@ def _project_element(value) -> TreeNode:
 
 def _project_into(node: TreeNode, value) -> TreeNode:
     if isinstance(value, dict):
-        node.children = [_project_member(k, v) for k, v in value.items()]
+        node.children = [_project_into(TreeNode(_check_key(k)), v) for k, v in value.items()]
     elif isinstance(value, list):
         node.children = [_project_element(v) for v in value]
     elif _is_multiline(value):
@@ -145,7 +140,10 @@ def _scalar_text(value) -> str:
             raise ConversionError(f"non-finite number {value!r} has no JSON text")
         return repr(value)
     if isinstance(value, int):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past the interpreter's int-to-string digit limit
+            raise ConversionError("integer has too many digits to write as JSON text") from None
     raise ConversionError(f"{type(value).__name__} is not a JSON value")
 
 
@@ -258,7 +256,11 @@ def _decode(node: TreeNode, path: NodePath, keyed: bool):
             raise _fail(path, ARITY_MISMATCH, "number node is missing its value")
         if WORD_SEP in rest or _JSON_NUMBER.fullmatch(rest) is None:
             raise _fail(path, CELL_TYPE_MISMATCH, f"{rest!r} is not a JSON number")
-        number = json.loads(rest)
+        try:
+            number = json.loads(rest)
+        except ValueError:  # past the interpreter's int-to-string digit limit
+            message = f"number literal of {len(rest)} characters is too long to read"
+            raise _fail(path, CELL_TYPE_MISMATCH, message) from None
         if isinstance(number, float) and math.isinf(number):
             raise _fail(path, CELL_TYPE_MISMATCH, f"{rest!r} overflows to infinity")
         return key, number

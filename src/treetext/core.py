@@ -107,7 +107,7 @@ class TreeNode:
 
     def clone(self) -> "TreeNode":
         """Deep copy of this subtree."""
-        return TreeNode(self.line, [c.clone() for c in self.children])
+        return TreeDocument([self]).clone().roots[0]
 
     # -- serialization -----------------------------------------------------
 
@@ -188,7 +188,19 @@ class TreeDocument:
         del parent_children[index]
 
     def clone(self) -> "TreeDocument":
-        return TreeDocument(r.clone() for r in self.roots)
+        """Deep copy, iteratively; documents can be deeper than the
+        Python recursion limit."""
+        copy = TreeDocument()
+        # (source siblings, the list their copies go into)
+        stack = [(self.roots, copy.roots)]
+        while stack:
+            sources, targets = stack.pop()
+            for source in sources:
+                node = TreeNode(source.line)
+                targets.append(node)
+                if source.children:
+                    stack.append((source.children, node.children))
+        return copy
 
     # -- measurement ------------------------------------------------------
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from treetext.core import (
     NEWLINE,
@@ -144,40 +144,27 @@ class Grammar:
     cell_types: "dict[str, CellTypeDef]" = field(default_factory=dict)
     root_types: "tuple[str, ...]" = ()
     root_catch_all: Optional[str] = None
-    # The children admissible under each node type, keyed by its name;
-    # the key None holds the depth-0 context.
-    _contexts: "dict[Optional[str], _Context]" = field(init=False, repr=False, compare=False)
+    # One (table, catch_all) pair per context, keyed by the parent node
+    # type's name; the key None holds the depth-0 context.  ``table`` maps
+    # each match word to the first node type declared with it, and a node
+    # resolves with ``table.get(first_word, catch_all)``.
+    _contexts: "dict[Optional[str], tuple]" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         types = self.node_types
         self._contexts = {
-            nt.name: _Context(
-                tuple(types[n] for n in nt.child_types),
-                types[nt.catch_all_child] if nt.catch_all_child else None,
-            )
-            for nt in types.values()
+            nt.name: _context(types, nt.child_types, nt.catch_all_child) for nt in types.values()
         }
-        self._contexts[None] = _Context(
-            tuple(types[n] for n in self.root_types if n != self.root_catch_all),
-            types[self.root_catch_all] if self.root_catch_all else None,
+        self._contexts[None] = _context(
+            types, [n for n in self.root_types if n != self.root_catch_all], self.root_catch_all
         )
 
 
-@dataclass(frozen=True)
-class _Context:
-    """The node types admissible at one position in the tree."""
-
-    candidates: "tuple[NodeTypeDef, ...]"
-    catch_all: Optional[NodeTypeDef]
-
-    def resolve(self, first_word: str) -> Optional[NodeTypeDef]:
-        for candidate in self.candidates:
-            if candidate.match == first_word:
-                return candidate
-        return self.catch_all
-
-    def match_words(self) -> "list[str]":
-        return sorted({c.match for c in self.candidates})
+def _context(types, names, catch_all):
+    table: "dict[str, NodeTypeDef]" = {}
+    for name in names:
+        table.setdefault(types[name].match, types[name])  # the first listed type wins
+    return table, types[catch_all] if catch_all else None
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +189,12 @@ def load_grammar(text: str) -> Grammar:
                 raise GrammarLoadError("grammar directive takes no children", (i,))
             name = block.content
         elif keyword == "nodetype":
-            type_name = _block_name(block, (i,))
+            type_name = _single_word(block, (i,), "name")
             if type_name in node_types:
                 raise GrammarLoadError(f"duplicate nodetype {type_name!r}", (i,))
             node_types[type_name] = _load_node_type(type_name, block, (i,), pending_refs)
         elif keyword == "celltype":
-            type_name = _block_name(block, (i,))
+            type_name = _single_word(block, (i,), "name")
             if type_name in cell_types:
                 raise GrammarLoadError(f"duplicate celltype {type_name!r}", (i,))
             cell_types[type_name] = _load_cell_type(type_name, block, (i,))
@@ -232,17 +219,11 @@ def load_grammar(text: str) -> Grammar:
     return Grammar(name or "", node_types, cell_types, root_types, root_catch_all)
 
 
-def _block_name(block: TreeNode, path: NodePath) -> str:
-    words = block.words
+def _single_word(node: TreeNode, path: NodePath, noun: str = "value") -> str:
+    words = node.words
     if len(words) != 2 or words[1] == "":
-        raise GrammarLoadError(f"{words[0]} needs exactly one name", path)
+        raise GrammarLoadError(f"{words[0]} needs exactly one {noun}", path)
     return words[1]
-
-
-def _single_word(node: TreeNode, path: NodePath) -> str:
-    if len(node.words) != 2 or node.words[1] == "":
-        raise GrammarLoadError(f"{node.first_word} needs exactly one value", path)
-    return node.words[1]
 
 
 def _word_list(node: TreeNode, path: NodePath) -> "tuple[str, ...]":
@@ -344,49 +325,35 @@ def check_parallel(doc: TreeDocument, grammar: Grammar, max_workers: Optional[in
 
 def _check_roots(roots, lo, hi, grammar) -> "list[TlError]":
     errors: "list[TlError]" = []
-    for i in range(lo, hi):
-        _check_node(roots[i], (i,), None, grammar, errors)
-    return errors
-
-
-def _check_node(node, path, parent, grammar, errors) -> None:
-    # ``parent`` names the parent's node type; None at depth 0.
-    context = grammar._contexts[parent]
-    node_type = context.resolve(node.first_word)
-    if node_type is None:
+    # (node, path, parent node type's name or None at depth 0); children
+    # are pushed last-first so errors come out in document pre-order.
+    stack = [(roots[i], (i,), None) for i in reversed(range(lo, hi))]
+    while stack:
+        node, path, parent = stack.pop()
+        table, catch_all = grammar._contexts[parent]
         first = node.first_word
-        known_elsewhere = any(nt.match == first for nt in grammar.node_types.values())
-        if known_elsewhere:
-            errors.append(
-                TlError(path, ILLEGAL_CHILD, f"node type {first!r} is not allowed here")
-            )
-        else:
-            errors.append(
-                TlError(
-                    path,
-                    UNKNOWN_NODE_TYPE,
-                    f"unknown node type {first!r}",
-                    suggestion=suggest(first, context.match_words()),
-                )
-            )
-        return  # children of an unresolved node have no defined types
+        node_type = table.get(first, catch_all)
+        if node_type is None:
+            if any(nt.match == first for nt in grammar.node_types.values()):
+                errors.append(TlError(path, ILLEGAL_CHILD, f"node type {first!r} is not allowed here"))
+            else:
+                message = f"unknown node type {first!r}"
+                errors.append(TlError(path, UNKNOWN_NODE_TYPE, message, suggestion=suggest(first, table)))
+            continue  # children of an unresolved node have no defined types
 
-    _check_cells(node, path, node_type, grammar, errors)
+        _check_cells(node, path, node_type, grammar, errors)
 
-    if not node.children:
-        return
-    if not node_type.child_types and node_type.catch_all_child is None:
-        for j, _child in enumerate(node.children):
-            errors.append(
-                TlError(
-                    path + (j,),
-                    ILLEGAL_CHILD,
-                    f"{node_type.name} nodes do not take children",
-                )
+        children = node.children
+        if not children:
+            continue
+        if not node_type.child_types and node_type.catch_all_child is None:
+            errors.extend(
+                TlError(path + (j,), ILLEGAL_CHILD, f"{node_type.name} nodes do not take children")
+                for j in range(len(children))
             )
-        return
-    for j, child in enumerate(node.children):
-        _check_node(child, path + (j,), node_type.name, grammar, errors)
+            continue
+        stack.extend((children[j], path + (j,), node_type.name) for j in reversed(range(len(children))))
+    return errors
 
 
 def _check_cells(node, path, node_type, grammar, errors) -> None:
@@ -425,6 +392,8 @@ def _check_cells(node, path, node_type, grammar, errors) -> None:
 # ---------------------------------------------------------------------------
 # suggestions and autofix
 
+_SUGGEST_MAX_DISTANCE = 2
+
 
 def levenshtein(a: str, b: str) -> int:
     """Plain edit distance (insert, delete, substitute all cost 1)."""
@@ -445,10 +414,10 @@ def levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
-def suggest(word: str, candidates: "list[str]", max_distance: int = 2) -> Optional[str]:
-    """Nearest candidate within ``max_distance`` edits; ties go alphabetically."""
+def suggest(word: str, candidates: "Iterable[str]") -> Optional[str]:
+    """Nearest candidate within two edits; ties go alphabetically."""
     best = None
-    best_distance = max_distance + 1
+    best_distance = _SUGGEST_MAX_DISTANCE + 1
     for candidate in sorted(candidates):
         distance = levenshtein(word, candidate)
         if distance < best_distance:
@@ -498,23 +467,34 @@ def compile_doc(doc: TreeDocument, grammar: Grammar) -> str:
             f"document has {len(errors)} error(s); fix them before compiling",
             errors=tuple(errors),
         )
-    return NEWLINE.join(
-        _render(root, (i,), None, grammar) for i, root in enumerate(doc.roots)
-    )
+    # Children are pushed first-first, so the visit order read backwards
+    # is post-order with each node's children in document order.
+    visited: "list[tuple[TreeNode, NodeTypeDef]]" = []
+    stack = [(root, None) for root in doc.roots]
+    while stack:
+        node, parent = stack.pop()
+        table, catch_all = grammar._contexts[parent]
+        node_type = table.get(node.first_word, catch_all)  # check passed: never None
+        visited.append((node, node_type))
+        stack.extend((child, node_type.name) for child in node.children)
+    # Each node's rendered children are the last len(children) entries.
+    rendered: "list[str]" = []
+    for node, node_type in reversed(visited):
+        cut = len(rendered) - len(node.children)
+        children = rendered[cut:]
+        del rendered[cut:]
+        if node_type.template is None:
+            rendered.append(NEWLINE.join(children))
+            continue
+        try:
+            rendered.append(_fill(node_type.template, node, children))
+        except CompileError as exc:
+            exc.path = next(path for path, n in doc.walk() if n is node)
+            raise
+    return NEWLINE.join(rendered)
 
 
-def _render(node, path, parent, grammar) -> str:
-    node_type = grammar._contexts[parent].resolve(node.first_word)  # check passed: never None
-    rendered = [
-        _render(child, path + (j,), node_type.name, grammar)
-        for j, child in enumerate(node.children)
-    ]
-    if node_type.template is None:
-        return NEWLINE.join(rendered)
-    return _fill(node_type.template, node, rendered, path)
-
-
-def _fill(template, node, rendered_children, path) -> str:
+def _fill(template, node, rendered_children) -> str:
     words = node.words
 
     def substitute(match: "re.Match[str]") -> str:
@@ -528,10 +508,7 @@ def _fill(template, node, rendered_children, path) -> str:
         if match.group(4):  # {N+}: empty when no words remain
             return WORD_SEP.join(words[position:])
         if position >= len(words):
-            raise CompileError(
-                f"template placeholder {{{index}}} out of range for line {node.line!r}",
-                path=path,
-            )
+            raise CompileError(f"template placeholder {{{index}}} out of range for line {node.line!r}")
         return words[position]
 
     return _PLACEHOLDER.sub(substitute, template)

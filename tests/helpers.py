@@ -120,6 +120,29 @@ def random_document(rng: random.Random, max_nodes: int = 40, max_depth: int = 4)
     return doc
 
 
+# Ten times CPython's default recursion limit.
+DEEP = 10_000
+
+
+def chain(depth: int, leaf: str, inner: str = "a") -> TreeDocument:
+    """One root: ``depth`` nested ``inner`` nodes above a ``leaf`` node.
+
+    Built from nodes, not text: a 10,000-level chain is about 50 MB as text.
+    """
+    node = TreeNode(leaf)
+    for _ in range(depth):
+        node = TreeNode(inner, [node])
+    return TreeDocument([node])
+
+
+def spine(node: TreeNode) -> "list[TreeNode]":
+    """The node and its first-child descendants, top down."""
+    nodes = [node]
+    while nodes[-1].children:
+        nodes.append(nodes[-1].children[0])
+    return nodes
+
+
 def mutate_document(rng: random.Random, doc: TreeDocument) -> TreeDocument:
     """A few random structural edits; returns an independent copy."""
     out = parse(doc.serialize())

@@ -112,6 +112,19 @@ def test_to_json_rejects_number_overflow(write):
     assert "overflows" in result.err
 
 
+def test_integers_past_the_digit_limit_exit_one(write):
+    digits = "1" * 5000  # past CPython's 4,300-digit int-to-string limit
+    cases = [
+        (["to-json"], "n " + digits),
+        (["from-json"], '{"k": ' + digits + "}"),
+        (["from-json", "--typed"], digits),
+    ]
+    for argv, text in cases:
+        result = run_cli(argv + [write("in", text)])
+        assert result.code == 1 and result.out == "", argv
+        assert result.err.startswith("treetext: ") and result.err.count("\n") == 1, argv
+
+
 def test_json_round_trip_through_cli(write, tmp_path):
     value = {"a": [1, True, None], "b": {"s": "line one\nline two"}}
     vpath = write("v.json", json.dumps(value))

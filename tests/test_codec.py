@@ -91,6 +91,13 @@ def test_untyped_rejects_keys_with_separators():
         from_json_untyped({"has\nnewline": 1})
 
 
+def test_untyped_rejects_numbers_without_json_text():
+    # 10**5000 is past CPython's 4,300-digit int-to-string limit.
+    for bad in [math.inf, math.nan, 10**5000]:
+        with pytest.raises(ConversionError):
+            from_json_untyped({"k": bad})
+
+
 # ---------------------------------------------------------------------------
 # JsonTL encoder
 
@@ -134,7 +141,7 @@ def test_encoder_rejects_bad_keys_and_numbers():
         from_json_typed({"two words": 1})
     with pytest.raises(ConversionError):
         from_json_typed({"nl\nkey": 1})
-    for bad in [math.inf, -math.inf, math.nan]:
+    for bad in [math.inf, -math.inf, math.nan, 10**5000]:
         with pytest.raises(ConversionError):
             from_json_typed(bad)
     with pytest.raises(ConversionError):
@@ -222,7 +229,8 @@ def test_decode_rejects_wrong_root_counts():
 
 
 def test_decoder_rejects_non_json_numbers():
-    for text in ["n Infinity", "n NaN", "n 01", "n +1", "n 1.", "n .5", "n 0x10", "n 1e400", "n -1e400"]:
+    too_long = "n " + "1" * 5000  # past CPython's 4,300-digit int-to-string limit
+    for text in ["n Infinity", "n NaN", "n 01", "n +1", "n 1.", "n .5", "n 0x10", "n 1e400", "n -1e400", too_long]:
         assert _decode_error(text).kind == "cellTypeMismatch", text
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WEB_STATS_TN
+from helpers import DEEP, chain, spine
 from treetext import (
     INDENT,
     NEWLINE,
@@ -270,6 +271,22 @@ def test_clone_is_deep():
     twin = node.clone()
     twin.append_child("extra")
     assert serialize(node) == "a\n b"
+
+
+def _assert_deep_copy(original: TreeNode, copy: TreeNode) -> None:
+    nodes, copies = spine(original), spine(copy)
+    assert [n.line for n in copies] == [n.line for n in nodes]
+    assert not any(n is c for n, c in zip(nodes, copies))
+
+
+def test_document_clone_takes_any_depth():
+    doc = chain(DEEP, "leaf")
+    _assert_deep_copy(doc.roots[0], doc.clone().roots[0])
+
+
+def test_node_clone_takes_any_depth():
+    node = chain(DEEP, "leaf").roots[0]
+    _assert_deep_copy(node, node.clone())
 
 
 def test_serialize_accepts_node_or_document():

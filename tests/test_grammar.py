@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import POINT_JSONTL, POINT_VALUE, CITIES_MAPTL
-from helpers import random_document
+from helpers import DEEP, chain, random_document, spine
 from treetext import (
     CompileError,
     GrammarLoadError,
@@ -255,6 +255,13 @@ def test_parallel_check_matches_sequential(jsontl, maptl):
                 assert check_parallel(doc, grammar, max_workers=workers) == expected
 
 
+def test_check_takes_any_depth(jsontl):
+    assert check(chain(DEEP, "z"), jsontl) == []
+    assert check_parallel(chain(DEEP, "z"), jsontl, max_workers=2) == []
+    for errors in (check(chain(DEEP, "zz"), jsontl), check_parallel(chain(DEEP, "zz"), jsontl, max_workers=2)):
+        assert [(e.path, e.kind, e.suggestion) for e in errors] == [((0,) * (DEEP + 1), "unknownNodeType", "z")]
+
+
 def test_parallel_calls_reject_nonpositive_workers(maptl):
     text = "a 1\nb 2"
     with pytest.raises(ValueError):
@@ -300,6 +307,13 @@ def test_autofix_cascades_into_newly_checkable_children(jsontl):
     fixed = autofix(doc, jsontl)
     assert serialize(fixed) == "o\n s k v"
     assert check(fixed, jsontl) == []
+
+
+def test_autofix_takes_any_depth(jsontl):
+    doc = chain(DEEP, "sx hi")
+    fixed = autofix(doc, jsontl)
+    assert [n.line for n in spine(fixed.roots[0])] == ["a"] * DEEP + ["s hi"]
+    assert spine(doc.roots[0])[-1].line == "sx hi"
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +377,20 @@ def test_compile_placeholder_out_of_range():
     assert compile_doc(parse("pair a b c"), grammar) == "c"
 
 
+def test_compile_renders_children_before_their_parent():
+    grammar = load_grammar(
+        "celltype any\n base any\nnodetype pair\n root\n catchAllCell any\n catchAllChild pair\n compile {2}"
+    )
+    with pytest.raises(CompileError) as info:
+        compile_doc(parse("pair only\n pair x"), grammar)
+    assert info.value.path == (0, 0)
+    assert "'pair x'" in str(info.value)
+
+
+def test_compile_takes_any_depth(jsontl):
+    assert compile_doc(chain(DEEP, "a"), jsontl) == "[" * (DEEP + 1) + "]" * (DEEP + 1)
+
+
 def test_template_placeholders():
     grammar = load_grammar(
         "celltype any\n base any\n"
@@ -389,6 +417,15 @@ def test_custom_child_separator():
         "nodetype leaf\n match leaf\n catchAllCell any\n compile {0+}"
     )
     assert compile_doc(parse("list\n leaf a\n leaf b"), grammar) == "(a; b)"
+
+
+def test_first_listed_child_type_wins_a_shared_match_word():
+    grammar = load_grammar(
+        "nodetype p\n root\n children y x\n compile {c}\n"
+        "nodetype x\n match k\n compile X\n"
+        "nodetype y\n match k\n compile Y"
+    )
+    assert compile_doc(parse("p\n k"), grammar) == "Y"
 
 
 def test_root_catchall_alongside_named_roots():
