@@ -207,9 +207,10 @@ def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TreeError, OSError, ValueError) as exc:
+    except (TreeError, OSError, ValueError, RecursionError) as exc:
         # ValueError includes malformed JSON, non-UTF-8 input and JSON
-        # integers past the interpreter's int-to-string digit limit.
+        # integers past the interpreter's int-to-string digit limit.  The
+        # JSON codecs and the differ still recurse: deep input overflows them.
         print(f"treetext: {exc}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,8 @@ per node type.  Checking a document yields a flat list of errors; each
 subtree is checked independently of its siblings, so one broken branch
 never hides problems elsewhere.  Unknown first words get a spelling
 suggestion when a known one is close, and ``autofix`` applies those
-suggestions mechanically.
+suggestions in one top-down pass.  Checking, compiling and autofixing
+share one walk, which resolves each node's type once.
 
 Grammar files are themselves tree documents::
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Optional
 
 from treetext.core import (
@@ -149,9 +151,12 @@ class Grammar:
     # each match word to the first node type declared with it, and a node
     # resolves with ``table.get(first_word, catch_all)``.
     _contexts: "dict[Optional[str], tuple]" = field(init=False, repr=False, compare=False)
+    # Every match word; an unresolved node with one of these is an illegal child.
+    _match_words: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         types = self.node_types
+        self._match_words = frozenset(nt.match for nt in types.values())
         self._contexts = {
             nt.name: _context(types, nt.child_types, nt.catch_all_child) for nt in types.values()
         }
@@ -325,68 +330,80 @@ def check_parallel(doc: TreeDocument, grammar: Grammar, max_workers: Optional[in
 
 def _check_roots(roots, lo, hi, grammar) -> "list[TlError]":
     errors: "list[TlError]" = []
-    # (node, path, parent node type's name or None at depth 0); children
-    # are pushed last-first so errors come out in document pre-order.
-    stack = [(roots[i], (i,), None) for i in reversed(range(lo, hi))]
+    for _ in _typed_walk(roots, lo, hi, grammar, errors):
+        pass
+    return errors
+
+
+def _typed_walk(roots, lo, hi, grammar, errors):
+    """Yield ``(node, node_type)`` for ``roots[lo:hi]`` and their resolved
+    descendants in document pre-order, each before its children are
+    visited, and append the check errors to ``errors``."""
+    contexts = grammar._contexts
+    # One path list, as in TreeDocument.walk; a tuple is built only for an error.
+    path = [lo - 1]
+    # (node, depth, parent node type's name or None at depth 0); children
+    # are pushed last-first so nodes come out in document pre-order.
+    stack = [(roots[i], 0, None) for i in reversed(range(lo, hi))]
     while stack:
-        node, path, parent = stack.pop()
-        table, catch_all = grammar._contexts[parent]
+        node, depth, parent = stack.pop()
+        if depth < len(path):
+            del path[depth + 1:]
+            path[depth] += 1
+        else:
+            path.append(0)
+        table, catch_all = contexts[parent]
         first = node.first_word
         node_type = table.get(first, catch_all)
         if node_type is None:
-            if any(nt.match == first for nt in grammar.node_types.values()):
-                errors.append(TlError(path, ILLEGAL_CHILD, f"node type {first!r} is not allowed here"))
+            if first in grammar._match_words:
+                errors.append(TlError(tuple(path), ILLEGAL_CHILD, f"node type {first!r} is not allowed here"))
             else:
                 message = f"unknown node type {first!r}"
-                errors.append(TlError(path, UNKNOWN_NODE_TYPE, message, suggestion=suggest(first, table)))
+                errors.append(TlError(tuple(path), UNKNOWN_NODE_TYPE, message, suggestion=suggest(first, table)))
             continue  # children of an unresolved node have no defined types
 
-        _check_cells(node, path, node_type, grammar, errors)
+        values = node.words[1:]
+        cells = node_type.cells
+        if len(values) < len(cells) or (len(values) > len(cells) and node_type.catch_all_cell is None):
+            errors.append(
+                TlError(
+                    tuple(path),
+                    ARITY_MISMATCH,
+                    f"expected {len(cells)} cells after {first!r}, got {len(values)}",
+                )
+            )
+        for i, value in enumerate(values):
+            if i < len(cells):
+                cell_name = cells[i]
+            elif node_type.catch_all_cell is not None:
+                cell_name = node_type.catch_all_cell
+            else:
+                break
+            cell = grammar.cell_types[cell_name]
+            if not cell.accepts(value):
+                suggestion = None
+                if cell.enum_values is not None:
+                    suggestion = suggest(value, sorted(cell.enum_values))
+                errors.append(
+                    TlError(
+                        tuple(path),
+                        CELL_TYPE_MISMATCH,
+                        f"word {i + 2} {value!r} is not a valid {cell.name}",
+                        suggestion=suggestion,
+                    )
+                )
+        yield node, node_type
 
         children = node.children
         if not children:
             continue
         if not node_type.child_types and node_type.catch_all_child is None:
-            errors.extend(
-                TlError(path + (j,), ILLEGAL_CHILD, f"{node_type.name} nodes do not take children")
-                for j in range(len(children))
-            )
+            message = f"{node_type.name} nodes do not take children"
+            prefix = tuple(path)
+            errors.extend(TlError(prefix + (j,), ILLEGAL_CHILD, message) for j in range(len(children)))
             continue
-        stack.extend((children[j], path + (j,), node_type.name) for j in reversed(range(len(children))))
-    return errors
-
-
-def _check_cells(node, path, node_type, grammar, errors) -> None:
-    values = node.words[1:]
-    cells = node_type.cells
-    if len(values) < len(cells) or (len(values) > len(cells) and node_type.catch_all_cell is None):
-        errors.append(
-            TlError(
-                path,
-                ARITY_MISMATCH,
-                f"expected {len(cells)} cells after {node.first_word!r}, got {len(values)}",
-            )
-        )
-    for i, value in enumerate(values):
-        if i < len(cells):
-            cell_name = cells[i]
-        elif node_type.catch_all_cell is not None:
-            cell_name = node_type.catch_all_cell
-        else:
-            break
-        cell = grammar.cell_types[cell_name]
-        if not cell.accepts(value):
-            suggestion = None
-            if cell.enum_values is not None:
-                suggestion = suggest(value, sorted(cell.enum_values))
-            errors.append(
-                TlError(
-                    path,
-                    CELL_TYPE_MISMATCH,
-                    f"word {i + 2} {value!r} is not a valid {cell.name}",
-                    suggestion=suggestion,
-                )
-            )
+        stack.extend(zip(reversed(children), repeat(depth + 1), repeat(node_type.name)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,24 +445,21 @@ def suggest(word: str, candidates: "Iterable[str]") -> Optional[str]:
 def autofix(doc: TreeDocument, grammar: Grammar) -> TreeDocument:
     """Apply every first-word suggestion; idempotent, never raises.
 
-    Only unknown-node-type errors carry applicable suggestions.  Fixing a
-    node can make its children checkable for the first time, so the pass
-    repeats until no applicable suggestion remains; the repeat count is
-    bounded by the document depth.
+    Only unknown-node-type errors carry applicable suggestions.  One
+    top-down pass fixes the roots, then each node's children as the walk
+    resolves the node, before it reaches them.  A fixed node always
+    resolves, so its children are fixed in the same pass.
     """
     fixed = doc.clone()
-    for _ in range(fixed.max_depth() + 2):
-        applicable = [
-            e for e in check(fixed, grammar)
-            if e.kind == UNKNOWN_NODE_TYPE and e.suggestion is not None
-        ]
-        if not applicable:
-            break
-        for error in applicable:
-            node = fixed.get_node(error.path)
-            words = node.words
-            words[0] = error.suggestion
-            node.set_line(WORD_SEP.join(words))
+    walk = _typed_walk(fixed.roots, 0, len(fixed.roots), grammar, [])
+    for siblings, parent in chain([(fixed.roots, None)], ((n.children, t.name) for n, t in walk)):
+        table, catch_all = grammar._contexts[parent]
+        for node in siblings:
+            first = node.first_word
+            if catch_all is None and first not in table and first not in grammar._match_words:
+                suggestion = suggest(first, table)  # as in the unknownNodeType error
+                if suggestion is not None:
+                    node.set_line(suggestion + node.line[len(first):])
     return fixed
 
 
@@ -461,36 +475,31 @@ def compile_doc(doc: TreeDocument, grammar: Grammar) -> str:
     Refuses documents with pending check errors.  Nodes without a
     template contribute their compiled children joined by newlines.
     """
-    errors = check(doc, grammar)
+    errors: "list[TlError]" = []
+    typed = list(_typed_walk(doc.roots, 0, len(doc.roots), grammar, errors))
     if errors:
         raise CompileError(
             f"document has {len(errors)} error(s); fix them before compiling",
             errors=tuple(errors),
         )
-    # Children are pushed first-first, so the visit order read backwards
-    # is post-order with each node's children in document order.
-    visited: "list[tuple[TreeNode, NodeTypeDef]]" = []
-    stack = [(root, None) for root in doc.roots]
-    while stack:
-        node, parent = stack.pop()
-        table, catch_all = grammar._contexts[parent]
-        node_type = table.get(node.first_word, catch_all)  # check passed: never None
-        visited.append((node, node_type))
-        stack.extend((child, node_type.name) for child in node.children)
-    # Each node's rendered children are the last len(children) entries.
+    # A node renders once all its children have (post-order), so its
+    # rendered children are the tail of ``rendered`` from ``cut`` on.
+    waiting: "list[tuple[TreeNode, NodeTypeDef, int]]" = []  # (node, node_type, cut)
     rendered: "list[str]" = []
-    for node, node_type in reversed(visited):
-        cut = len(rendered) - len(node.children)
-        children = rendered[cut:]
-        del rendered[cut:]
-        if node_type.template is None:
-            rendered.append(NEWLINE.join(children))
-            continue
-        try:
-            rendered.append(_fill(node_type.template, node, children))
-        except CompileError as exc:
-            exc.path = next(path for path, n in doc.walk() if n is node)
-            raise
+    for node, node_type in typed:
+        waiting.append((node, node_type, len(rendered)))
+        while waiting and len(rendered) - waiting[-1][2] == len(waiting[-1][0].children):
+            node, node_type, cut = waiting.pop()
+            children = rendered[cut:]
+            del rendered[cut:]
+            if node_type.template is None:
+                rendered.append(NEWLINE.join(children))
+                continue
+            try:
+                rendered.append(_fill(node_type.template, node, children))
+            except CompileError as exc:
+                exc.path = next(path for path, n in doc.walk() if n is node)
+                raise
     return NEWLINE.join(rendered)
 
 

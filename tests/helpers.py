@@ -173,15 +173,17 @@ def random_key(rng: random.Random) -> str:
     return "".join(rng.choice(_KEY_LETTERS) for _ in range(rng.randrange(1, 9)))
 
 
-def random_json(rng: random.Random, depth: int = 6, container_odds: float = 0.6):
+def random_json(rng: random.Random, depth: int = 6, container_odds: float = 0.6, text=None):
+    """A random JSON value; ``text(rng)``, if given, draws every string."""
     if depth > 0 and rng.random() < container_odds:
         if rng.random() < 0.5:
-            keys = {random_key(rng) for _ in range(rng.randrange(0, 5))}
-            return {k: random_json(rng, depth - 1) for k in sorted(keys, key=lambda _: rng.random())}
-        return [random_json(rng, depth - 1) for _ in range(rng.randrange(0, 5))]
+            # sorted first: a set's order of strings varies between processes
+            keys = sorted({random_key(rng) for _ in range(rng.randrange(0, 5))})
+            return {k: random_json(rng, depth - 1, text=text) for k in sorted(keys, key=lambda _: rng.random())}
+        return [random_json(rng, depth - 1, text=text) for _ in range(rng.randrange(0, 5))]
     roll = rng.random()
     if roll < 0.25:
-        return random_string(rng)
+        return random_string(rng) if text is None else text(rng)
     if roll < 0.45:
         return rng.randrange(-10**12, 10**12)
     if roll < 0.65:
@@ -190,6 +192,8 @@ def random_json(rng: random.Random, depth: int = 6, container_odds: float = 0.6)
         return rng.random() < 0.5
     if roll < 0.9:
         return None
+    if text is not None:
+        return text(rng)
     return rng.choice(["", " ", "two words", "line one\nline two", "\n", "  indented\ntail"])
 
 

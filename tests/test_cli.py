@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import POINT_JSONTL, POINT_VALUE, WEB_STATS_TN
-from helpers import run_cli
+from helpers import DEEP, chain, run_cli
 from treetext import parse, serialize
 
 
@@ -174,6 +174,23 @@ def test_patch_mismatch_exits_one(write):
 def test_patch_malformed_exits_one(write):
     result = run_cli(["patch", write("p.tl", "frobnicate\n"), write("a.tn", "one")])
     assert result.code == 1
+
+
+def test_documents_past_the_recursion_limit_exit_one(write):
+    # The JSON codec and the differ still recurse.  diff re-serializes both
+    # subtrees at every level it descends, so it gets a chain just past
+    # the recursion limit: a DEEP one would take minutes.
+    a = write("a.tn", serialize(chain(DEEP, "z")))
+    limit = sys.getrecursionlimit()
+    cases = [
+        ["to-json", a],
+        ["patch", write("p.tl", serialize(chain(DEEP, "keep 1", inner="descend"))), a],
+        ["diff", write("c.tn", serialize(chain(limit, "z"))), write("d.tn", serialize(chain(limit, "n 1")))],
+    ]
+    for argv in cases:
+        result = run_cli(argv)
+        assert result.code == 1 and result.out == "", argv[0]
+        assert result.err.startswith("treetext: ") and result.err.count("\n") == 1, argv[0]
 
 
 # ---------------------------------------------------------------------------

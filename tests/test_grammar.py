@@ -6,11 +6,12 @@ import random
 import pytest
 
 from conftest import POINT_JSONTL, POINT_VALUE, CITIES_MAPTL
-from helpers import DEEP, chain, random_document, spine
+from helpers import DEEP, chain, random_document, random_json, spine
 from treetext import (
     CompileError,
     GrammarLoadError,
     TreeDocument,
+    TreeNode,
     autofix,
     check,
     check_parallel,
@@ -21,6 +22,7 @@ from treetext import (
     parse,
     parse_parallel,
     serialize,
+    to_json_typed,
     to_map,
 )
 from treetext.grammar import levenshtein, suggest
@@ -314,6 +316,96 @@ def test_autofix_takes_any_depth(jsontl):
     fixed = autofix(doc, jsontl)
     assert [n.line for n in spine(fixed.roots[0])] == ["a"] * DEEP + ["s hi"]
     assert spine(doc.roots[0])[-1].line == "sx hi"
+
+
+def test_autofix_cascades_down_any_depth(jsontl):
+    fixed = autofix(chain(DEEP, "sx hi", inner="ax"), jsontl)
+    assert [n.line for n in spine(fixed.roots[0])] == ["a"] * DEEP + ["s hi"]
+
+
+# A shared match word (item and other), a type legal only below box
+# (leaf), a childless type (stop) and a catchAllChild (note), also
+# beside named child types (box).
+_FIX_GRAMMAR = (
+    "celltype any\n base any\n"
+    "nodetype top\n root\n catchAllCell any\n children item other top\n"
+    "nodetype item\n match it\n catchAllCell any\n catchAllChild note\n"
+    "nodetype other\n match it\n"
+    "nodetype note\n catchAllCell any\n"
+    "nodetype stop\n root\n"
+    "nodetype box\n root\n children leaf box\n catchAllChild note\n"
+    "nodetype leaf\n catchAllCell any"
+)
+
+
+def _autofix_reference(doc, grammar):
+    # The fixed point of applying every unknownNodeType suggestion.
+    fixed = doc.clone()
+    while True:
+        errors = [e for e in check(fixed, grammar) if e.kind == "unknownNodeType" and e.suggestion is not None]
+        if not errors:
+            return fixed
+        for error in errors:
+            node = fixed.get_node(error.path)
+            node.set_line(error.suggestion + node.line[len(node.first_word):])
+
+
+def _near_misses(words):
+    misses = set()
+    for word in words:
+        misses.update({word + "x", "q" + word, word[1:], word[:-1] + "z", word + word})
+    return sorted(misses - set(words))
+
+
+def _random_tree(rng, words, max_depth=5):
+    doc = TreeDocument()
+    stack = [(doc.roots, 0)]
+    while stack:
+        siblings, depth = stack.pop()
+        for _ in range(rng.randrange(0, 4)):
+            node = TreeNode(rng.choice(words) + rng.choice(["", " v", " 1 2", "  x"]))
+            siblings.append(node)
+            if depth < max_depth and rng.random() < 0.45:
+                stack.append((node.children, depth + 1))
+    return doc
+
+
+def test_autofix_matches_the_fixed_point_of_check(jsontl, maptl):
+    rng = random.Random(404)
+    for grammar in (jsontl, maptl, load_grammar(_FIX_GRAMMAR)):
+        match_words = sorted({nt.match for nt in grammar.node_types.values()})
+        words = match_words + _near_misses(match_words) + ["wombat"]
+        changed = 0
+        for _ in range(300):
+            doc = _random_tree(rng, words)
+            fixed = autofix(doc, grammar)
+            assert fixed == _autofix_reference(doc, grammar), serialize(doc)
+            changed += fixed != doc
+        assert changed > 0 or grammar is maptl  # maptl resolves every first word
+
+
+# JSON string characters the jsontext cell takes: no quote, backslash or
+# control character, so no line break either.
+_JSONTEXT = "ab Zé🌲{}[],:\x7f\u2028"
+
+
+def _jsontext(rng):
+    return "".join(rng.choice(_JSONTEXT) for _ in range(rng.randrange(0, 10)))
+
+
+def test_jsontl_grammar_agrees_with_the_codec(jsontl):
+    rng = random.Random(8)
+    for _ in range(400):
+        value = random_json(rng, depth=rng.randrange(0, 6), text=_jsontext)
+        doc = from_json_typed(value)
+        assert check(doc, jsontl) == []
+        assert json.loads(compile_doc(doc, jsontl)) == to_json_typed(doc) == value
+        text = serialize(doc)
+        nodes = [node for _, node in doc.walk()]
+        for node in rng.sample(nodes, rng.randint(1, min(3, len(nodes)))):
+            tag = node.first_word  # a one-letter tag: the misspelling is one edit from it alone
+            node.set_line(tag + rng.choice("qwy") + node.line[len(tag):])
+        assert serialize(autofix(doc, jsontl)) == text
 
 
 # ---------------------------------------------------------------------------
