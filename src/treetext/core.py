@@ -51,6 +51,12 @@ def _check_line(line: str) -> str:
     return line
 
 
+def _insert_at(siblings: "list[TreeNode]", index: int, node: "TreeNode", what: str) -> None:
+    if not 0 <= index <= len(siblings):
+        raise IndexError(f"{what} index {index} out of range (0..{len(siblings)})")
+    siblings.insert(index, node)
+
+
 class TreeNode:
     """One parsed line plus its ordered children.
 
@@ -101,9 +107,7 @@ class TreeNode:
 
     def insert_child(self, index: int, node: "TreeNode") -> None:
         """Insert an existing node at ``index`` (0 <= index <= child count)."""
-        if not 0 <= index <= len(self.children):
-            raise IndexError(f"child index {index} out of range (0..{len(self.children)})")
-        self.children.insert(index, node)
+        _insert_at(self.children, index, node, "child")
 
     def clone(self) -> "TreeNode":
         """Deep copy of this subtree."""
@@ -168,9 +172,8 @@ class TreeDocument:
         return node
 
     def insert_child(self, index: int, node: TreeNode) -> None:
-        if not 0 <= index <= len(self.roots):
-            raise IndexError(f"root index {index} out of range (0..{len(self.roots)})")
-        self.roots.insert(index, node)
+        """Insert an existing node at ``index`` (0 <= index <= root count)."""
+        _insert_at(self.roots, index, node, "root")
 
     def delete_node(self, path: NodePath) -> None:
         """Remove the node at ``path`` (and its subtree)."""

@@ -164,6 +164,63 @@ def mutate_document(rng: random.Random, doc: TreeDocument) -> TreeDocument:
 
 
 # ---------------------------------------------------------------------------
+# reference diff
+
+
+def reference_diff(a: TreeDocument, b: TreeDocument) -> TreeDocument:
+    """The differ's original dense-table LCS traceback, kept as an oracle.
+
+    It fills a full (n+1)×(m+1) table per sibling level, compares matched
+    pairs by serialization and recurses, so use it on small documents only.
+    """
+    patch = TreeDocument(_reference_siblings(a.roots, b.roots))
+    return patch if patch.roots else TreeDocument([TreeNode("keep 0")])
+
+
+def _reference_siblings(old: "list[TreeNode]", new: "list[TreeNode]") -> "list[TreeNode]":
+    # table[i][j] = LCS length of old[i:] vs new[j:], keyed on lines.
+    table = [[0] * (len(new) + 1) for _ in range(len(old) + 1)]
+    for i in range(len(old) - 1, -1, -1):
+        row, below = table[i], table[i + 1]
+        for j in range(len(new) - 1, -1, -1):
+            if old[i].line == new[j].line:
+                row[j] = below[j + 1] + 1
+            else:
+                row[j] = below[j] if below[j] >= row[j + 1] else row[j + 1]
+    ops: "list[TreeNode]" = []
+
+    def bump(word: str) -> None:
+        if ops and ops[-1].first_word == word:
+            ops[-1].set_line(f"{word} {int(ops[-1].words[1]) + 1}")
+        else:
+            ops.append(TreeNode(f"{word} 1"))
+
+    i = j = 0
+    while i < len(old) or j < len(new):
+        if (
+            i < len(old)
+            and j < len(new)
+            and old[i].line == new[j].line
+            and table[i][j] == table[i + 1][j + 1] + 1
+        ):
+            if old[i] == new[j]:
+                bump("keep")
+            else:
+                ops.append(TreeNode("descend", _reference_siblings(old[i].children, new[j].children)))
+            i += 1
+            j += 1
+        elif i < len(old) and (j >= len(new) or table[i + 1][j] >= table[i][j + 1]):
+            bump("delete")
+            i += 1
+        else:
+            if not (ops and ops[-1].line == "insert"):
+                ops.append(TreeNode("insert"))
+            ops[-1].children.append(new[j].clone())
+            j += 1
+    return ops
+
+
+# ---------------------------------------------------------------------------
 # random JSON values
 
 _KEY_LETTERS = "abcdefghij"

@@ -177,20 +177,20 @@ def test_patch_malformed_exits_one(write):
 
 
 def test_documents_past_the_recursion_limit_exit_one(write):
-    # The JSON codec and the differ still recurse.  diff re-serializes both
-    # subtrees at every level it descends, so it gets a chain just past
-    # the recursion limit: a DEEP one would take minutes.
+    # The JSON codec still recurses.
+    result = run_cli(["to-json", write("a.tn", serialize(chain(DEEP, "z")))])
+    assert result.code == 1 and result.out == ""
+    assert result.err.startswith("treetext: ") and result.err.count("\n") == 1
+
+
+def test_diff_and_patch_take_any_depth(write):
     a = write("a.tn", serialize(chain(DEEP, "z")))
-    limit = sys.getrecursionlimit()
-    cases = [
-        ["to-json", a],
-        ["patch", write("p.tl", serialize(chain(DEEP, "keep 1", inner="descend"))), a],
-        ["diff", write("c.tn", serialize(chain(limit, "z"))), write("d.tn", serialize(chain(limit, "n 1")))],
-    ]
-    for argv in cases:
-        result = run_cli(argv)
-        assert result.code == 1 and result.out == "", argv[0]
-        assert result.err.startswith("treetext: ") and result.err.count("\n") == 1, argv[0]
+    b_text = serialize(chain(DEEP, "n 1"))
+    result = run_cli(["diff", a, write("b.tn", b_text)])
+    assert result.code == 0 and result.err == ""
+    result = run_cli(["patch", write("p.tl", result.out), a])
+    assert result.code == 0 and result.err == ""
+    assert result.out == b_text
 
 
 # ---------------------------------------------------------------------------

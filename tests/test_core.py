@@ -213,9 +213,9 @@ def test_append_and_insert_children():
 
 def test_insert_child_index_out_of_range():
     doc = parse("a")
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^root index 5 out of range \(0\.\.1\)$"):
         doc.insert_child(5, TreeNode("x"))
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^child index 1 out of range \(0\.\.0\)$"):
         doc.roots[0].insert_child(1, TreeNode("x"))
 
 

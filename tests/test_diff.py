@@ -7,10 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WEB_STATS_TN
-from helpers import mutate_document, patch_op_words, random_document
+from helpers import (
+    DEEP,
+    chain,
+    mutate_document,
+    patch_op_words,
+    random_document,
+    reference_diff,
+    spine,
+)
 from treetext import (
     PatchFormatError,
     PatchMismatchError,
+    TreeDocument,
+    TreeNode,
     apply_patch,
     diff,
     parse,
@@ -130,6 +140,8 @@ def test_malformed_patches():
         "keep",
         "keep x",
         "keep -1",
+        "keep ²",
+        "keep " + "9" * 5000,
         "keep 1 2",
         "insert stuff",
         "descend stuff\n keep 0",
@@ -182,3 +194,50 @@ def test_random_structured_pairs():
         assert apply_patch(patch, a) == b
         # a patch never mutates its input
         assert serialize(a) == serialize(parse(serialize(a)))
+
+
+# A few lines, indented and blank ones among them, so that sibling lists
+# repeat lines often and the traceback meets many ties.
+_DENSE_LINES = ("a", "b", "a b", " a", "  b", "", " ")
+
+
+def test_diff_matches_the_dense_table_reference():
+    rng = random.Random(41)
+
+    def dense_document():
+        return parse("\n".join(rng.choice(_DENSE_LINES) for _ in range(rng.randrange(0, 24))))
+
+    for _ in range(5000):
+        a, b = dense_document(), dense_document()
+        assert serialize(diff(a, b)) == serialize(reference_diff(a, b))
+    for i in range(1000):
+        a = random_document(rng)
+        b = mutate_document(rng, a) if i % 2 else random_document(rng)
+        assert serialize(diff(a, b)) == serialize(reference_diff(a, b))
+
+
+# ---------------------------------------------------------------------------
+# depth
+
+
+def test_diff_takes_any_depth():
+    a, b = chain(DEEP, "z"), chain(DEEP, "n 1")
+    patch = diff(a, b)
+    assert len(patch.roots) == 1
+    ops = spine(patch.roots[0])
+    assert [op.line for op in ops] == ["descend"] * DEEP + ["delete 1"]
+    assert serialize(TreeDocument(ops[-2].children)) == "delete 1\ninsert\n n 1"
+    assert apply_patch(patch, a) == b
+    assert serialize(diff(a, a)) == "keep 1"
+
+
+def test_apply_patch_takes_any_depth():
+    ops = [TreeNode("delete 1"), TreeNode("insert", [TreeNode("n 1")])]
+    for _ in range(DEEP):
+        ops = [TreeNode("descend", ops)]
+    patch = TreeDocument(ops)
+    assert apply_patch(patch, chain(DEEP, "z")) == chain(DEEP, "n 1")
+    # One level short: the deepest delete finds no sibling to drop.
+    with pytest.raises(PatchMismatchError) as info:
+        apply_patch(patch, chain(DEEP - 1, "z"))
+    assert info.value.path == (0,) * (DEEP + 1)
