@@ -210,7 +210,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except (TreeError, OSError, ValueError, RecursionError) as exc:
         # ValueError includes malformed JSON, non-UTF-8 input and JSON
         # integers past the interpreter's int-to-string digit limit.  The
-        # JSON codecs still recurse: deep input overflows them.
+        # json module recurses: it overflows on about 1,000 nested levels.
         print(f"treetext: {exc}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,10 @@ Three layers, in order of fidelity:
   become first words, scalars become content, nested objects become
   children, arrays become children with an empty first word, and a
   multi-line string becomes one child per text line.  Type information
-  is discarded on purpose; there is no inverse.
+  is discarded on purpose; there is no inverse.  An array of two or more
+  scalars is not canonical: ``{"tags": ["x", 3]}`` builds ``tags`` with
+  children `` x`` and `` 3``, but its text re-parses as `` x`` with
+  the child ``3``.
 
 * ``from_json_typed`` / ``to_json_typed`` implement JsonTL, a lossless
   dialect.  Every node starts with a one-letter tag: o=object, a=array,
@@ -15,14 +18,20 @@ Three layers, in order of fidelity:
   child lines instead of escape sequences, so the text reads exactly as
   it will print.  ``to_json_typed(from_json_typed(v)) == v`` for every
   JSON value whose object keys are single words and whose numbers are
-  finite.
+  finite, and every encoded tree equals its own re-parse.
 
 * ``to_map`` / ``from_map`` implement MapTL, a flat string-to-string
   dialect: key = first word, value = rest of the line.
 
+Both JSON encoders are one pre-order walk over a stack of child
+iterators, differing only in how they write a node's line; the JsonTL
+decoder fills containers from a stack of frames.  Neither recurses, so
+any depth that memory allows converts.
+
 Encoders raise ConversionError for values outside their domain (keys
-with spaces or newlines, non-finite numbers).  Decoders raise
-DecodeError, which carries a TlError locating the offending node.
+with spaces or newlines, non-finite numbers, values that contain
+themselves).  Decoders raise DecodeError, which carries a TlError
+locating the offending node.
 """
 
 from __future__ import annotations
@@ -60,6 +69,10 @@ TAGS = {"o": "object", "a": "array", "s": "string", "n": "number", "b": "boolean
 # Infinity and NaN), so decoders gate on this first.
 _JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
+# The key of an array element or of the JsonTL root.  Not None: None can be
+# an object's key, which the encoders must reject.
+_NO_KEY = object()
+
 
 class ConversionError(TreeError):
     """A value lies outside the encoder's domain."""
@@ -88,38 +101,68 @@ def _check_key(key) -> str:
 
 
 # ---------------------------------------------------------------------------
-# untyped projection
+# encoders: one pre-order walk, one line function per dialect
 
 
 def from_json_untyped(value: JsonValue) -> TreeDocument:
     """Project a JSON object to a plain tree for display. Lossy on types."""
     if not isinstance(value, dict):
         raise ConversionError("untyped projection takes a JSON object at top level")
-    doc = TreeDocument()
-    doc.roots = [_project_into(TreeNode(_check_key(k)), v) for k, v in value.items()]
-    return doc
+    return TreeDocument(_encode(value.items(), _untyped_line))
 
 
-def _project_element(value) -> TreeNode:
+def from_json_typed(value: JsonValue) -> TreeDocument:
+    """Encode any JSON value as a single-root JsonTL document."""
+    return TreeDocument(_encode([(_NO_KEY, value)], _typed_line))
+
+
+def _encode(items, line) -> "list[TreeNode]":
+    """Build one node per ``(key, value)`` pair, key _NO_KEY for array elements.
+
+    ``line(key, value)`` writes a node's line in the caller's dialect.
+    The walk keeps a stack of child iterators and descends as soon as it
+    meets a container, so nodes are built, and errors raised, in pre-order.
+    """
+    roots: "list[TreeNode]" = []
+    stack = [(iter(items), roots, None)]
+    open_ids = set()  # containers on the stack: a value that holds itself has no JSON text
+    while stack:
+        pairs, siblings, _ = stack[-1]
+        for key, value in pairs:
+            node = TreeNode(line(key, value))
+            siblings.append(node)
+            if isinstance(value, (dict, list)):
+                if id(value) in open_ids:
+                    raise ConversionError(f"{type(value).__name__} contains itself; JSON has no cycles")
+                open_ids.add(id(value))
+                children = value.items() if isinstance(value, dict) else ((_NO_KEY, v) for v in value)
+                stack.append((iter(children), node.children, id(value)))
+                break
+            if _is_multiline(value):
+                # Child lines, not escapes: the text is stored as the
+                # sub-document it already is, so the tree equals its re-parse.
+                node.children = parse(value).roots
+        else:
+            open_ids.discard(stack.pop()[2])
+    return roots
+
+
+def _untyped_line(key, value) -> str:
     # Array elements have no key: first word is empty.
-    if not isinstance(value, (dict, list)) and not _is_multiline(value):
-        return TreeNode(WORD_SEP + _scalar_text(value))
-    return _project_into(TreeNode(""), value)
+    head = "" if key is _NO_KEY else _check_key(key)
+    if isinstance(value, (dict, list)) or _is_multiline(value):
+        return head
+    text = _scalar_text(value)
+    return head + WORD_SEP + text if text or key is _NO_KEY else head
 
 
-def _project_into(node: TreeNode, value) -> TreeNode:
-    if isinstance(value, dict):
-        node.children = [_project_into(TreeNode(_check_key(k)), v) for k, v in value.items()]
-    elif isinstance(value, list):
-        node.children = [_project_element(v) for v in value]
-    elif _is_multiline(value):
-        # A sub-document, as in JsonTL, so the tree equals its re-parse.
-        node.children = parse(value).roots
-    else:
-        text = _scalar_text(value)
-        if text:
-            node.set_line(node.line + WORD_SEP + text)
-    return node
+def _typed_line(key, value) -> str:
+    head = _tag_for(value)
+    if key is not _NO_KEY:
+        head += WORD_SEP + _check_key(key)
+    if value is None or value == "" or isinstance(value, (dict, list)) or _is_multiline(value):
+        return head
+    return head + WORD_SEP + _scalar_text(value)
 
 
 def _is_multiline(value) -> bool:
@@ -145,35 +188,6 @@ def _scalar_text(value) -> str:
         except ValueError:  # past the interpreter's int-to-string digit limit
             raise ConversionError("integer has too many digits to write as JSON text") from None
     raise ConversionError(f"{type(value).__name__} is not a JSON value")
-
-
-# ---------------------------------------------------------------------------
-# JsonTL encoder
-
-
-def from_json_typed(value: JsonValue) -> TreeDocument:
-    """Encode any JSON value as a single-root JsonTL document."""
-    doc = TreeDocument()
-    doc.roots = [_encode(value, None)]
-    return doc
-
-
-def _encode(value, key) -> TreeNode:
-    head = _tag_for(value)
-    if key is not None:
-        head += WORD_SEP + _check_key(key)
-    node = TreeNode(head)
-    if isinstance(value, dict):
-        node.children = [_encode(v, k) for k, v in value.items()]
-    elif isinstance(value, list):
-        node.children = [_encode(v, None) for v in value]
-    elif _is_multiline(value):
-        # Child lines, not escapes: the text is stored as the
-        # sub-document it already is.
-        node.children = parse(value).roots
-    elif value is not None and value != "":
-        node.set_line(head + WORD_SEP + _scalar_text(value))
-    return node
 
 
 def _tag_for(value) -> str:
@@ -202,74 +216,82 @@ def to_json_typed(doc: TreeDocument) -> JsonValue:
         raise _fail((), ARITY_MISMATCH, "expected exactly one root node, got none")
     if len(doc.roots) > 1:
         raise _fail((1,), DUPLICATE_ROOT, f"expected exactly one root node, got {len(doc.roots)}")
-    _, value = _decode(doc.roots[0], (0,), keyed=False)
-    return value
+    # Frames are [children, value, index of the child being read, key]. The
+    # document is read as a one-element array, so the indices spell the path
+    # and the walk ends when the root joins it.
+    result: list = []
+    stack = [[doc.roots, result, 0, None]]
+    while not result:
+        frame = stack[-1]
+        children, container, i = frame[0], frame[1], frame[2]
+        if i < len(children):
+            key, value = _decode(children[i], stack, keyed=isinstance(container, dict))
+            if isinstance(value, (dict, list)):
+                stack.append([children[i].children, value, 0, key])
+                continue
+        else:
+            # A container joins its parent only after all its children have.
+            stack.pop()
+            key, value, frame = frame[3], container, stack[-1]
+            container = frame[1]
+        if isinstance(container, list):
+            container.append(value)
+        elif key in container:
+            raise _fail(_path(stack), DUPLICATE_ROOT, f"duplicate key {key!r}")
+        else:
+            container[key] = value
+        frame[2] += 1
+    return result[0]
 
 
-def _split_head(node: TreeNode, path: NodePath, keyed: bool):
-    """Return (tag, key, rest) for one node line."""
-    if keyed:
-        parts = node.line.split(WORD_SEP, 2)
-        if len(parts) < 2:
-            raise _fail(path, ARITY_MISMATCH, f"missing key after tag {parts[0]!r} in object")
-        return parts[0], parts[1], parts[2] if len(parts) == 3 else ""
-    parts = node.line.split(WORD_SEP, 1)
-    return parts[0], None, parts[1] if len(parts) == 2 else ""
+def _path(stack) -> NodePath:
+    return tuple(frame[2] for frame in stack)
 
 
-def _decode(node: TreeNode, path: NodePath, keyed: bool):
-    tag, key, rest = _split_head(node, path, keyed)
+def _decode(node: TreeNode, stack, keyed: bool):
+    """Read one node's head: (key, value), with an empty value for o and a."""
+    tag, sep, rest = node.line.partition(WORD_SEP)
+    if keyed and not sep:
+        raise _fail(_path(stack), ARITY_MISMATCH, f"missing key after tag {tag!r} in object")
+    key, _, rest = rest.partition(WORD_SEP) if keyed else (None, sep, rest)
     if tag not in TAGS:
         raise _fail(
-            path,
+            _path(stack),
             UNKNOWN_NODE_TYPE,
             f"unknown tag {tag!r}",
             suggestion=suggest(tag, sorted(TAGS)),
         )
     if tag in ("n", "b", "z") and node.children:
-        raise _fail(path + (0,), ILLEGAL_CHILD, f"{TAGS[tag]} nodes do not take children")
-
-    if tag == "o":
+        raise _fail(_path(stack) + (0,), ILLEGAL_CHILD, f"{TAGS[tag]} nodes do not take children")
+    if tag in ("o", "a"):
         if rest:
-            raise _fail(path, ARITY_MISMATCH, f"object node takes no words after the key, got {rest!r}")
-        value: dict = {}
-        for i, child in enumerate(node.children):
-            child_key, child_value = _decode(child, path + (i,), keyed=True)
-            if child_key in value:
-                raise _fail(path + (i,), DUPLICATE_ROOT, f"duplicate key {child_key!r}")
-            value[child_key] = child_value
-        return key, value
-    if tag == "a":
-        if rest:
-            raise _fail(path, ARITY_MISMATCH, f"array node takes no words after the key, got {rest!r}")
-        return key, [
-            _decode(child, path + (i,), keyed=False)[1] for i, child in enumerate(node.children)
-        ]
+            raise _fail(_path(stack), ARITY_MISMATCH, f"{TAGS[tag]} node takes no words after the key, got {rest!r}")
+        return key, {} if tag == "o" else []
     if tag == "s":
         if node.children:
             if rest:
-                raise _fail(path, CELL_TYPE_MISMATCH, "string node has both inline text and child lines")
+                raise _fail(_path(stack), CELL_TYPE_MISMATCH, "string node has both inline text and child lines")
             return key, serialize(TreeDocument(node.children))
         return key, rest
     if tag == "n":
         if rest == "":
-            raise _fail(path, ARITY_MISMATCH, "number node is missing its value")
+            raise _fail(_path(stack), ARITY_MISMATCH, "number node is missing its value")
         if WORD_SEP in rest or _JSON_NUMBER.fullmatch(rest) is None:
-            raise _fail(path, CELL_TYPE_MISMATCH, f"{rest!r} is not a JSON number")
+            raise _fail(_path(stack), CELL_TYPE_MISMATCH, f"{rest!r} is not a JSON number")
         try:
             number = json.loads(rest)
         except ValueError:  # past the interpreter's int-to-string digit limit
             message = f"number literal of {len(rest)} characters is too long to read"
-            raise _fail(path, CELL_TYPE_MISMATCH, message) from None
+            raise _fail(_path(stack), CELL_TYPE_MISMATCH, message) from None
         if isinstance(number, float) and math.isinf(number):
-            raise _fail(path, CELL_TYPE_MISMATCH, f"{rest!r} overflows to infinity")
+            raise _fail(_path(stack), CELL_TYPE_MISMATCH, f"{rest!r} overflows to infinity")
         return key, number
     if tag == "b":
         if rest == "":
-            raise _fail(path, ARITY_MISMATCH, "boolean node is missing its value")
+            raise _fail(_path(stack), ARITY_MISMATCH, "boolean node is missing its value")
         if rest not in ("true", "false"):
             raise _fail(
-                path,
+                _path(stack),
                 CELL_TYPE_MISMATCH,
                 f"{rest!r} is not a boolean",
                 suggestion=suggest(rest, ["false", "true"]),
@@ -277,7 +299,7 @@ def _decode(node: TreeNode, path: NodePath, keyed: bool):
         return key, rest == "true"
     # z
     if rest:
-        raise _fail(path, ARITY_MISMATCH, f"null node takes no value, got {rest!r}")
+        raise _fail(_path(stack), ARITY_MISMATCH, f"null node takes no value, got {rest!r}")
     return key, None
 
 

@@ -22,7 +22,6 @@ identity coincide.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 NEWLINE = "\n"  # separates nodes vertically; never legal inside a line
@@ -313,6 +312,10 @@ def _map_blocks(fn: Callable[[int, int], list], starts: Sequence[int], end: int,
         raise ValueError("max_workers must be greater than 0")
     if not starts:
         return []
+    # Imported here: concurrent.futures loads logging, which would slow
+    # every CLI start-up for the sake of the *_parallel calls alone.
+    from concurrent.futures import ThreadPoolExecutor
+
     k = min(workers, len(starts))
     cuts = [starts[len(starts) * i // k] for i in range(k)] + [end]
     with ThreadPoolExecutor(max_workers=k) as pool:

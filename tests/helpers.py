@@ -7,12 +7,32 @@ seed; nothing here reads global RNG state.
 from __future__ import annotations
 
 import io
+import json
+import math
 import random
 import sys
 from dataclasses import dataclass
 
 from treetext.cli import main
-from treetext.core import TreeDocument, TreeNode, parse
+from treetext.codec import (
+    TAGS,
+    _JSON_NUMBER,
+    ConversionError,
+    _check_key,
+    _fail,
+    _is_multiline,
+    _scalar_text,
+    _tag_for,
+)
+from treetext.core import WORD_SEP, TreeDocument, TreeNode, parse, serialize
+from treetext.grammar import (
+    ARITY_MISMATCH,
+    CELL_TYPE_MISMATCH,
+    DUPLICATE_ROOT,
+    ILLEGAL_CHILD,
+    UNKNOWN_NODE_TYPE,
+    suggest,
+)
 
 
 @dataclass
@@ -257,3 +277,128 @@ def random_json(rng: random.Random, depth: int = 6, container_odds: float = 0.6,
 def random_string(rng: random.Random) -> str:
     alphabet = "abc XY\"\\\t\né🌲\n"
     return "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 12)))
+
+
+# ---------------------------------------------------------------------------
+# reference JSON codecs
+
+
+def reference_from_json_untyped(value) -> TreeDocument:
+    """The codec's original recursive untyped projection, kept as an oracle.
+
+    It recurses once per level, so use it on shallow values only.
+    """
+    if not isinstance(value, dict):
+        raise ConversionError("untyped projection takes a JSON object at top level")
+    return TreeDocument([_reference_project(TreeNode(_check_key(k)), v) for k, v in value.items()])
+
+
+def _reference_element(value) -> TreeNode:
+    if not isinstance(value, (dict, list)) and not _is_multiline(value):
+        return TreeNode(WORD_SEP + _scalar_text(value))
+    return _reference_project(TreeNode(""), value)
+
+
+def _reference_project(node: TreeNode, value) -> TreeNode:
+    if isinstance(value, dict):
+        node.children = [_reference_project(TreeNode(_check_key(k)), v) for k, v in value.items()]
+    elif isinstance(value, list):
+        node.children = [_reference_element(v) for v in value]
+    elif _is_multiline(value):
+        node.children = parse(value).roots
+    else:
+        text = _scalar_text(value)
+        if text:
+            node.set_line(node.line + WORD_SEP + text)
+    return node
+
+
+def reference_from_json_typed(value) -> TreeDocument:
+    """The codec's original recursive JsonTL encoder, kept as an oracle.
+
+    One change: it took key None for "no key", so an object member keyed
+    None lost its key silently.  Here ``keyed`` says whether there is one.
+    """
+    return TreeDocument([_reference_encode(value, None, keyed=False)])
+
+
+def _reference_encode(value, key, keyed: bool) -> TreeNode:
+    head = _tag_for(value)
+    if keyed:
+        head += WORD_SEP + _check_key(key)
+    node = TreeNode(head)
+    if isinstance(value, dict):
+        node.children = [_reference_encode(v, k, keyed=True) for k, v in value.items()]
+    elif isinstance(value, list):
+        node.children = [_reference_encode(v, None, keyed=False) for v in value]
+    elif _is_multiline(value):
+        node.children = parse(value).roots
+    elif value is not None and value != "":
+        node.set_line(head + WORD_SEP + _scalar_text(value))
+    return node
+
+
+def reference_to_json_typed(doc: TreeDocument):
+    """The codec's original recursive JsonTL decoder, kept as an oracle."""
+    if len(doc.roots) == 0:
+        raise _fail((), ARITY_MISMATCH, "expected exactly one root node, got none")
+    if len(doc.roots) > 1:
+        raise _fail((1,), DUPLICATE_ROOT, f"expected exactly one root node, got {len(doc.roots)}")
+    return _reference_decode(doc.roots[0], (0,), keyed=False)[1]
+
+
+def _reference_decode(node: TreeNode, path, keyed: bool):
+    if keyed:
+        parts = node.line.split(WORD_SEP, 2)
+        if len(parts) < 2:
+            raise _fail(path, ARITY_MISMATCH, f"missing key after tag {parts[0]!r} in object")
+        tag, key, rest = parts[0], parts[1], parts[2] if len(parts) == 3 else ""
+    else:
+        parts = node.line.split(WORD_SEP, 1)
+        tag, key, rest = parts[0], None, parts[1] if len(parts) == 2 else ""
+    if tag not in TAGS:
+        raise _fail(path, UNKNOWN_NODE_TYPE, f"unknown tag {tag!r}", suggest(tag, sorted(TAGS)))
+    if tag in ("n", "b", "z") and node.children:
+        raise _fail(path + (0,), ILLEGAL_CHILD, f"{TAGS[tag]} nodes do not take children")
+    if tag == "o":
+        if rest:
+            raise _fail(path, ARITY_MISMATCH, f"object node takes no words after the key, got {rest!r}")
+        value: dict = {}
+        for i, child in enumerate(node.children):
+            child_key, child_value = _reference_decode(child, path + (i,), keyed=True)
+            if child_key in value:
+                raise _fail(path + (i,), DUPLICATE_ROOT, f"duplicate key {child_key!r}")
+            value[child_key] = child_value
+        return key, value
+    if tag == "a":
+        if rest:
+            raise _fail(path, ARITY_MISMATCH, f"array node takes no words after the key, got {rest!r}")
+        return key, [_reference_decode(c, path + (i,), keyed=False)[1] for i, c in enumerate(node.children)]
+    if tag == "s":
+        if node.children:
+            if rest:
+                raise _fail(path, CELL_TYPE_MISMATCH, "string node has both inline text and child lines")
+            return key, serialize(TreeDocument(node.children))
+        return key, rest
+    if tag == "n":
+        if rest == "":
+            raise _fail(path, ARITY_MISMATCH, "number node is missing its value")
+        if WORD_SEP in rest or _JSON_NUMBER.fullmatch(rest) is None:
+            raise _fail(path, CELL_TYPE_MISMATCH, f"{rest!r} is not a JSON number")
+        try:
+            number = json.loads(rest)
+        except ValueError:
+            message = f"number literal of {len(rest)} characters is too long to read"
+            raise _fail(path, CELL_TYPE_MISMATCH, message) from None
+        if isinstance(number, float) and math.isinf(number):
+            raise _fail(path, CELL_TYPE_MISMATCH, f"{rest!r} overflows to infinity")
+        return key, number
+    if tag == "b":
+        if rest == "":
+            raise _fail(path, ARITY_MISMATCH, "boolean node is missing its value")
+        if rest not in ("true", "false"):
+            raise _fail(path, CELL_TYPE_MISMATCH, f"{rest!r} is not a boolean", suggest(rest, ["false", "true"]))
+        return key, rest == "true"
+    if rest:
+        raise _fail(path, ARITY_MISMATCH, f"null node takes no value, got {rest!r}")
+    return key, None

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import POINT_JSONTL, POINT_VALUE, WEB_STATS_TN
 from helpers import DEEP, chain, run_cli
-from treetext import parse, serialize
+from treetext import TreeDocument, TreeNode, parse, serialize
 
 
 @pytest.fixture
@@ -177,10 +177,28 @@ def test_patch_malformed_exits_one(write):
 
 
 def test_documents_past_the_recursion_limit_exit_one(write):
-    # The JSON codec still recurses.
+    # The codec decodes any depth, but json.dumps recurses and overflows.
     result = run_cli(["to-json", write("a.tn", serialize(chain(DEEP, "z")))])
     assert result.code == 1 and result.out == ""
     assert result.err.startswith("treetext: ") and result.err.count("\n") == 1
+
+
+def test_json_commands_take_depths_the_json_module_takes(write):
+    # 800 levels: past the recursion limit of a recursive codec, under the
+    # json module's own.
+    depth = 800
+    nested = "[" * depth + "null" + "]" * depth
+    typed = serialize(chain(depth, "z"))
+    result = run_cli(["to-json", write("a.tn", typed + "\n")])
+    assert (result.code, result.out, result.err) == (0, nested + "\n", "")
+    result = run_cli(["from-json", "--typed", write("a.json", nested)])
+    assert (result.code, result.out, result.err) == (0, typed + "\n", "")
+    result = run_cli(["from-json", write("k.json", '{"k": ' + nested[1:-1] + "}")])
+    untyped = TreeNode(" null")
+    for _ in range(depth - 2):
+        untyped = TreeNode("", [untyped])
+    untyped = serialize(TreeDocument([TreeNode("k", [untyped])]))
+    assert (result.code, result.out, result.err) == (0, untyped + "\n", "")
 
 
 def test_diff_and_patch_take_any_depth(write):

@@ -16,10 +16,21 @@ from conftest import (
     CITIES_VALUE,
     WEB_STATS_TN,
 )
-from helpers import random_json
+from helpers import (
+    DEEP,
+    chain,
+    fuzz_string,
+    random_json,
+    random_key,
+    reference_from_json_typed,
+    reference_from_json_untyped,
+    reference_to_json_typed,
+    spine,
+)
 from treetext import (
     ConversionError,
     DecodeError,
+    TreeDocument,
     from_json_typed,
     from_json_untyped,
     from_map,
@@ -146,6 +157,8 @@ def test_encoder_rejects_bad_keys_and_numbers():
             from_json_typed(bad)
     with pytest.raises(ConversionError):
         from_json_typed({"k": {1: "non-string key"}})
+    with pytest.raises(ConversionError):
+        from_json_typed({None: 1})  # not written as "o\n n 1", which drops the key
     with pytest.raises(ConversionError):
         from_json_typed(object())
 
@@ -278,6 +291,139 @@ def test_typed_round_trip_random_corpus():
         value = random_json(rng)
         decoded = to_json_typed(from_json_typed(value))
         assert json.dumps(decoded) == json.dumps(value)
+
+
+def _walk(doc):
+    return [(len(path), node.line) for path, node in doc.walk()]
+
+
+@given(json_values())
+@settings(max_examples=300)
+def test_typed_trees_equal_their_reparse(value):
+    # == compares serializations, so it cannot see a non-canonical tree.
+    doc = from_json_typed(value)
+    assert _walk(doc) == _walk(parse(serialize(doc)))
+
+
+# ---------------------------------------------------------------------------
+# cycles and depth
+
+
+def test_encoders_reject_cyclic_values():
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ConversionError):
+        from_json_typed(loop)
+    with pytest.raises(ConversionError):
+        from_json_untyped({"k": loop})
+    member = {}
+    member["k"] = member
+    with pytest.raises(ConversionError):
+        from_json_untyped(member)
+    # A value shared by siblings is not a cycle.
+    shared = [1]
+    value = [shared, shared, {"a": shared}]
+    assert serialize(from_json_typed(value)) == serialize(from_json_typed([[1], [1], {"a": [1]}]))
+    assert to_json_typed(from_json_typed(value)) == value
+    assert serialize(from_json_untyped({"k": value})) == serialize(from_json_untyped({"k": [[1], [1], {"a": [1]}]}))
+
+
+def test_codecs_take_any_depth():
+    depth = 100_000
+    value = None
+    for _ in range(depth):
+        value = [value]
+    doc = from_json_typed(value)
+    assert doc.node_count() == depth + 1
+    assert [node.line for node in spine(doc.roots[0])] == ["a"] * depth + ["z"]
+    decoded = to_json_typed(doc)
+    for _ in range(depth):  # not ==, which recurses on nested lists
+        assert type(decoded) is list and len(decoded) == 1
+        decoded = decoded[0]
+    assert decoded is None
+    doc = from_json_untyped({"k": value})
+    assert doc.node_count() == depth + 1
+    assert [node.line for node in spine(doc.roots[0])] == ["k"] + [""] * (depth - 1) + [" null"]
+    # The deepest node's error carries its whole path.
+    with pytest.raises(DecodeError) as info:
+        to_json_typed(chain(DEEP, "q"))
+    assert info.value.error.kind == "unknownNodeType"
+    assert info.value.error.path == (0,) * (DEEP + 1)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the recursive reference codecs
+
+# Values outside the encoders' domain: non-finite and over-long numbers,
+# non-JSON types, and keys that are not single words.
+_BAD_VALUES = (math.inf, -math.inf, math.nan, 10**5000, object(), (1,), b"x", {1})
+_BAD_KEYS = ("two words", "new\nline", 1, None, 2.5)
+_JSONTL_WORDS = ("o", "a", "s", "n", "b", "z", "q", "so", "k", "k2", "", "1", "-0.5", "01", "1e400", "true", "ture")
+
+
+def _risky_json(rng, depth=4):
+    """A random value in which about one node or key in 25 lies outside JSON."""
+    roll = rng.random()
+    if roll < 0.04:
+        return rng.choice(_BAD_VALUES)
+    if depth == 0 or roll > 0.5:
+        return random_json(rng, 0)
+    if rng.random() < 0.5:
+        return [_risky_json(rng, depth - 1) for _ in range(rng.randrange(5))]
+    keys = [rng.choice(_BAD_KEYS) if rng.random() < 0.04 else random_key(rng) for _ in range(rng.randrange(5))]
+    return {key: _risky_json(rng, depth - 1) for key in keys}
+
+
+def _jsontl_words(rng):
+    return " ".join(rng.choice(_JSONTL_WORDS) for _ in range(rng.randrange(1, 4)))
+
+
+def _mutate_jsontl(rng, text):
+    """A few line edits: replace, repeat (a duplicate key), drop or re-indent a line."""
+    lines = text.split("\n")
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(lines))
+        indent = len(lines[i]) - len(lines[i].lstrip(" "))
+        roll = rng.random()
+        if roll < 0.4:
+            lines[i] = " " * indent + _jsontl_words(rng)
+        elif roll < 0.6:
+            lines.insert(i, lines[i])
+        elif roll < 0.8 and len(lines) > 1:
+            del lines[i]
+        else:
+            lines[i] = lines[i][1:] if indent and rng.random() < 0.5 else " " + lines[i]
+    return "\n".join(lines)
+
+
+def _outcome(fn, arg):
+    """``fn(arg)`` in comparable form: a tree as its (depth, line) walk,
+    a value as JSON text, an exception as its type, text and TlError."""
+    try:
+        result = fn(arg)
+    except Exception as exc:  # both sides must fail alike, whatever the type
+        error = getattr(exc, "error", None)
+        fields = None if error is None else (error.path, error.kind, error.message, error.suggestion)
+        return type(exc), str(exc), fields
+    if isinstance(result, TreeDocument):
+        return _walk(result)
+    return json.dumps(result)
+
+
+def test_codecs_match_the_recursive_reference():
+    rng = random.Random(6)
+    for i in range(2500):
+        value = _risky_json(rng)
+        assert _outcome(from_json_typed, value) == _outcome(reference_from_json_typed, value)
+        assert _outcome(from_json_untyped, {"k": value}) == _outcome(reference_from_json_untyped, {"k": value})
+        text = serialize(from_json_typed(random_json(rng, depth=4)))
+        if i % 2:
+            fuzz = fuzz_string(rng, 60)
+        else:
+            fuzz = "\n".join(" " * rng.randrange(3) + _jsontl_words(rng) for _ in range(rng.randrange(4)))
+        for case in (text, _mutate_jsontl(rng, text), fuzz):
+            doc = parse(case)
+            assert _outcome(to_json_typed, doc) == _outcome(reference_to_json_typed, doc), case
 
 
 # ---------------------------------------------------------------------------
