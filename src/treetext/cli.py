@@ -36,7 +36,7 @@ import sys
 
 from treetext import __version__
 from treetext.codec import from_json_typed, from_json_untyped, to_json_typed
-from treetext.core import NEWLINE, TreeDocument, TreeError, TreeNode, parse, serialize
+from treetext.core import NEWLINE, TreeDocument, TreeError, TreeNode, _measure, parse, serialize
 from treetext.differ import apply_patch, diff
 from treetext.grammar import (
     Grammar,
@@ -101,8 +101,8 @@ def _cmd_fmt(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    doc = parse(_read_raw(args.file))
-    _write_line(f"nodes {doc.node_count()}{NEWLINE}depth {doc.max_depth()}")
+    nodes, depth = _measure(parse(_read_raw(args.file)).roots)
+    _write_line(f"nodes {nodes}{NEWLINE}depth {depth}")
     return 0
 
 

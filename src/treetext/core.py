@@ -208,18 +208,29 @@ class TreeDocument:
 
     def node_count(self) -> int:
         """Total number of nodes in the document."""
-        return sum(1 for _ in _walk_depth(self.roots))
+        return _measure(self.roots)[0]
 
     def max_depth(self) -> int:
         """Depth of the deepest node; 0 for flat or empty documents."""
-        return max((depth for _, depth in _walk_depth(self.roots)), default=0)
+        return _measure(self.roots)[1]
 
     # -- serialization ------------------------------------------------------
 
     def serialize(self) -> str:
-        return NEWLINE.join(
-            INDENT * depth + node.line for node, depth in _walk_depth(self.roots)
-        )
+        # Each node adds two strings to one list: the newline and indent
+        # for its depth, from a per-depth cache, then its line.  A pre-order
+        # walk goes at most one level deeper per node, so the cache grows
+        # one string at a time.
+        heads = [NEWLINE]
+        parts: list[str] = []
+        for node, depth in _walk_depth(self.roots):
+            if depth == len(heads):
+                heads.append(heads[-1] + INDENT)
+            parts.append(heads[depth])
+            parts.append(node.line)
+        if parts:
+            parts[0] = ""  # no newline before the first line
+        return "".join(parts)
 
     def __eq__(self, other: object):
         if not isinstance(other, TreeDocument):
@@ -233,13 +244,31 @@ class TreeDocument:
 
 
 def _walk_depth(roots: Iterable[TreeNode]) -> Iterator[tuple[TreeNode, int]]:
-    # Iterative pre-order walk; documents can be deeper than the Python
-    # recursion limit.
-    stack = [(node, 0) for node in reversed(list(roots))]
+    """Yield (node, depth) in document pre-order, iteratively.
+
+    The one walker of the core: documents can be deeper than the Python
+    recursion limit.  The stack holds one child iterator per open level,
+    so a node's depth is ``len(stack) - 1``.
+    """
+    stack = [iter(roots)]
     while stack:
-        node, depth = stack.pop()
-        yield node, depth
-        stack.extend((child, depth + 1) for child in reversed(node.children))
+        depth = len(stack) - 1
+        for node in stack[-1]:
+            yield node, depth
+            if node.children:
+                stack.append(iter(node.children))
+                break
+        else:
+            stack.pop()
+
+
+def _measure(roots: Iterable[TreeNode]) -> tuple[int, int]:
+    """(node count, depth of the deepest node) in one walk."""
+    count = deepest = 0
+    for count, (_, depth) in enumerate(_walk_depth(roots), 1):
+        if depth > deepest:
+            deepest = depth
+    return count, deepest
 
 
 def parse(text: str) -> TreeDocument:

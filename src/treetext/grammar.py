@@ -498,7 +498,11 @@ def compile_doc(doc: TreeDocument, grammar: Grammar) -> str:
             try:
                 rendered.append(_fill(node_type.template, node, children))
             except CompileError as exc:
-                exc.path = next(path for path, n in doc.walk() if n is node)
+                # ``waiting`` now holds the node's ancestors.  Every earlier
+                # sibling rendered to one string, so the step from one cut
+                # to the next is a child index along the path.
+                cuts = [0, *(c for _, _, c in waiting), cut]
+                exc.path = tuple(b - a for a, b in zip(cuts, cuts[1:]))
                 raise
     return NEWLINE.join(rendered)
 

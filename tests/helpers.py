@@ -12,6 +12,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from treetext.cli import main
 from treetext.codec import (
@@ -161,6 +162,17 @@ def spine(node: TreeNode) -> "list[TreeNode]":
     while nodes[-1].children:
         nodes.append(nodes[-1].children[0])
     return nodes
+
+
+def reference_walk_depth(roots) -> "Iterator[tuple[TreeNode, int]]":
+    """The core walker as it was before child iterators: every child is
+    pushed as a ``(node, depth)`` tuple.  Kept as a reference for
+    ``treetext.core._walk_depth``."""
+    stack = [(node, 0) for node in reversed(list(roots))]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
 def mutate_document(rng: random.Random, doc: TreeDocument) -> TreeDocument:

@@ -1,13 +1,14 @@
 """Parser and serializer: totality, losslessness, tree building, editing."""
 
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WEB_STATS_TN
-from helpers import DEEP, chain, spine
+from helpers import DEEP, chain, reference_walk_depth, spine
 from treetext import (
     INDENT,
     NEWLINE,
@@ -20,6 +21,7 @@ from treetext import (
     parse_parallel,
     serialize,
 )
+from treetext.core import _walk_depth
 
 # A structure-dense alphabet makes hypothesis hit indentation edge cases
 # far more often than fully random unicode would; a plain st.text() run
@@ -188,6 +190,13 @@ def test_equality_is_serialization_equality():
     assert built == parse(serialize(built))
 
 
+def test_a_non_canonical_document_equals_its_reparse():
+    # The second root's line starts with a space, so the text is that of a
+    # root with one child.  Equality compares serializations, not the
+    # (depth, line) pairs of the two walks, which differ here.
+    assert TreeDocument([TreeNode("a"), TreeNode(" b")]) == parse("a\n b")
+
+
 def test_nodes_are_not_hashable():
     with pytest.raises(TypeError):
         hash(TreeNode("a"))
@@ -287,6 +296,63 @@ def test_document_clone_takes_any_depth():
 def test_node_clone_takes_any_depth():
     node = chain(DEEP, "leaf").roots[0]
     _assert_deep_copy(node, node.clone())
+
+
+# ---------------------------------------------------------------------------
+# the core walker against the tuple-stack reference
+
+
+def _hand_built(rng: random.Random) -> TreeDocument:
+    """A tree built from nodes, with lines that start with surplus spaces,
+    empty lines and explicitly empty child lists."""
+    doc = TreeDocument()
+    open_lists = [doc.roots]  # the child lists a new node may join
+    for _ in range(rng.randrange(0, 80)):
+        del open_lists[rng.randrange(1, len(open_lists) + 1):]
+        node = TreeNode(rng.choice(("", " ", "  x", "a", "b c", "\t", " lead")), [] if rng.random() < 0.5 else None)
+        open_lists[-1].append(node)
+        open_lists.append(node.children)
+    return doc
+
+
+def _assert_walkers_agree(doc: TreeDocument, paths_and_text: bool = True) -> None:
+    expected = [(id(node), depth) for node, depth in reference_walk_depth(doc.roots)]
+    assert [(id(node), depth) for node, depth in _walk_depth(doc.roots)] == expected
+    assert doc.node_count() == len(expected)
+    assert doc.max_depth() == max((depth for _, depth in expected), default=0)
+    if not paths_and_text:
+        return
+    assert doc.serialize() == NEWLINE.join(INDENT * d + n.line for n, d in reference_walk_depth(doc.roots))
+    # A node's path is its parent's path plus its index among the parent's
+    # children, and in pre-order the parent's path is a prefix of the
+    # previous node's path.
+    previous: tuple = ()
+    open_nodes: "list[TreeNode]" = []  # open_nodes[d]: the latest node at depth d
+    for walked, reference in zip_longest(doc.walk(), reference_walk_depth(doc.roots)):
+        assert walked is not None and reference is not None
+        (path, node), (reference_node, depth) = walked, reference
+        siblings = open_nodes[depth - 1].children if depth else doc.roots
+        assert node is reference_node and len(path) == depth + 1
+        assert path[:-1] == previous[:depth] and siblings[path[-1]] is node
+        del open_nodes[depth:]
+        open_nodes.append(node)
+        previous = path
+
+
+def test_walkers_match_the_reference_on_hand_built_trees():
+    for seed in range(300):
+        _assert_walkers_agree(_hand_built(random.Random(seed)))
+
+
+def test_walkers_match_the_reference_on_flat_roots():
+    _assert_walkers_agree(TreeDocument(TreeNode(f"root {i % 7}") for i in range(100_000)))
+
+
+def test_walkers_match_the_reference_on_deep_chains():
+    # The text of a k-level chain holds about k*k/2 indent spaces, and its
+    # paths as many indices, so those two are checked at DEEP levels only.
+    _assert_walkers_agree(chain(100_000, "leaf"), paths_and_text=False)
+    _assert_walkers_agree(chain(DEEP, "leaf"))
 
 
 def test_serialize_accepts_node_or_document():

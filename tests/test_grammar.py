@@ -483,6 +483,23 @@ def test_compile_takes_any_depth(jsontl):
     assert compile_doc(chain(DEEP, "a"), jsontl) == "[" * (DEEP + 1) + "]" * (DEEP + 1)
 
 
+def test_compile_error_path_at_any_depth():
+    grammar = load_grammar(
+        "celltype any\n base any\nnodetype pair\n root\n catchAllCell any\n catchAllChild pair\n compile {2}"
+    )
+    # Only the leaf lacks a third value.  Each level puts the spine node
+    # after level % 3 complete siblings, so the path is not all zeros.
+    node, path = TreeNode("pair only"), []
+    for level in range(DEEP):
+        node = TreeNode("pair a b c", [TreeNode("pair d e f") for _ in range(level % 3)] + [node])
+        path.append(level % 3)
+    path.append(1)
+    with pytest.raises(CompileError) as info:
+        compile_doc(TreeDocument([TreeNode("pair x y z"), node]), grammar)
+    assert info.value.path == tuple(reversed(path))
+    assert "'pair only'" in str(info.value)
+
+
 def test_template_placeholders():
     grammar = load_grammar(
         "celltype any\n base any\n"
