@@ -259,7 +259,7 @@ def _decode(node: TreeNode, stack, keyed: bool):
             _path(stack),
             UNKNOWN_NODE_TYPE,
             f"unknown tag {tag!r}",
-            suggestion=suggest(tag, sorted(TAGS)),
+            suggestion=suggest(tag, TAGS),
         )
     if tag in ("n", "b", "z") and node.children:
         raise _fail(_path(stack) + (0,), ILLEGAL_CHILD, f"{TAGS[tag]} nodes do not take children")

@@ -84,13 +84,12 @@ class TreeNode:
 
     @property
     def first_word(self) -> str:
-        return self.line.split(WORD_SEP, 1)[0]
+        return self.line.partition(WORD_SEP)[0]
 
     @property
     def content(self) -> str:
         """Everything after the first word separator, or "" if there is none."""
-        parts = self.line.split(WORD_SEP, 1)
-        return parts[1] if len(parts) == 2 else ""
+        return self.line.partition(WORD_SEP)[2]
 
     # -- editing ---------------------------------------------------------
 

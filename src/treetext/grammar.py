@@ -5,9 +5,10 @@ that constrain the words of each line, and an optional compile template
 per node type.  Checking a document yields a flat list of errors; each
 subtree is checked independently of its siblings, so one broken branch
 never hides problems elsewhere.  Unknown first words get a spelling
-suggestion when a known one is close, and ``autofix`` applies those
-suggestions in one top-down pass.  Checking, compiling and autofixing
-share one walk, which resolves each node's type once.
+suggestion when a known one is close.  Checking, compiling and
+autofixing share one walk, which resolves each node's type once;
+``autofix`` is that walk with fixing on, applying each suggestion as it
+reaches the node.
 
 Grammar files are themselves tree documents::
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Optional
 
 from treetext.core import (
@@ -64,10 +65,18 @@ ARITY_MISMATCH = "arityMismatch"
 ILLEGAL_CHILD = "illegalChild"
 DUPLICATE_ROOT = "duplicateRoot"
 
-CELL_BASES = ("word", "int", "float", "bool", "any")
-
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _FLOAT_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+# Each cell base and the test a word must pass (a truthy result) to be of it.
+_BASE_TESTS = {
+    "word": bool,
+    "int": _INT_RE.fullmatch,
+    "float": _FLOAT_RE.fullmatch,
+    "bool": {"true", "false"}.__contains__,
+    "any": lambda word: True,
+}
+CELL_BASES = tuple(_BASE_TESTS)
 
 
 @dataclass(frozen=True)
@@ -105,18 +114,8 @@ class CellTypeDef:
     pattern: Optional["re.Pattern[str]"] = None
 
     def accepts(self, word: str) -> bool:
-        if self.base == "word":
-            if word == "":
-                return False
-        elif self.base == "int":
-            if _INT_RE.fullmatch(word) is None:
-                return False
-        elif self.base == "float":
-            if _FLOAT_RE.fullmatch(word) is None:
-                return False
-        elif self.base == "bool":
-            if word not in ("true", "false"):
-                return False
+        if not _BASE_TESTS[self.base](word):
+            return False
         if self.enum_values is not None and word not in self.enum_values:
             return False
         if self.pattern is not None and self.pattern.fullmatch(word) is None:
@@ -328,17 +327,22 @@ def check_parallel(doc: TreeDocument, grammar: Grammar, max_workers: Optional[in
     )
 
 
-def _check_roots(roots, lo, hi, grammar) -> "list[TlError]":
+def _check_roots(roots, lo, hi, grammar, fix=False) -> "list[TlError]":
     errors: "list[TlError]" = []
-    for _ in _typed_walk(roots, lo, hi, grammar, errors):
+    for _ in _typed_walk(roots, lo, hi, grammar, errors, fix):
         pass
     return errors
 
 
-def _typed_walk(roots, lo, hi, grammar, errors):
+def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
     """Yield ``(node, node_type)`` for ``roots[lo:hi]`` and their resolved
     descendants in document pre-order, each before its children are
-    visited, and append the check errors to ``errors``."""
+    visited, and append the check errors to ``errors``.
+
+    With ``fix`` set, a node whose unknown first word has a suggestion
+    gets the suggestion instead and resolves to its type; only a node
+    without one is an unknownNodeType error.
+    """
     contexts = grammar._contexts
     # One path list, as in TreeDocument.walk; a tuple is built only for an error.
     path = [lo - 1]
@@ -353,17 +357,21 @@ def _typed_walk(roots, lo, hi, grammar, errors):
         else:
             path.append(0)
         table, catch_all = contexts[parent]
-        first = node.first_word
+        words = node.line.split(WORD_SEP)
+        first = words[0]
         node_type = table.get(first, catch_all)
         if node_type is None:
             if first in grammar._match_words:
                 errors.append(TlError(tuple(path), ILLEGAL_CHILD, f"node type {first!r} is not allowed here"))
-            else:
-                message = f"unknown node type {first!r}"
-                errors.append(TlError(tuple(path), UNKNOWN_NODE_TYPE, message, suggestion=suggest(first, table)))
-            continue  # children of an unresolved node have no defined types
+                continue  # children of an unresolved node have no defined types
+            suggestion = suggest(first, table)
+            if not fix or suggestion is None:
+                errors.append(TlError(tuple(path), UNKNOWN_NODE_TYPE, f"unknown node type {first!r}", suggestion))
+                continue
+            node.set_line(suggestion + node.line[len(first):])
+            node_type = table[suggestion]
 
-        values = node.words[1:]
+        values = words[1:]
         cells = node_type.cells
         if len(values) < len(cells) or (len(values) > len(cells) and node_type.catch_all_cell is None):
             errors.append(
@@ -384,7 +392,7 @@ def _typed_walk(roots, lo, hi, grammar, errors):
             if not cell.accepts(value):
                 suggestion = None
                 if cell.enum_values is not None:
-                    suggestion = suggest(value, sorted(cell.enum_values))
+                    suggestion = suggest(value, cell.enum_values)
                 errors.append(
                     TlError(
                         tuple(path),
@@ -445,21 +453,13 @@ def suggest(word: str, candidates: "Iterable[str]") -> Optional[str]:
 def autofix(doc: TreeDocument, grammar: Grammar) -> TreeDocument:
     """Apply every first-word suggestion; idempotent, never raises.
 
-    Only unknown-node-type errors carry applicable suggestions.  One
-    top-down pass fixes the roots, then each node's children as the walk
-    resolves the node, before it reaches them.  A fixed node always
-    resolves, so its children are fixed in the same pass.
+    Only unknown-node-type errors carry applicable suggestions.  The
+    fix is the typed walk itself, with fixing on: it corrects each node
+    as it reaches it, before its children, so a fixed node's children
+    are fixed in the same top-down pass.
     """
     fixed = doc.clone()
-    walk = _typed_walk(fixed.roots, 0, len(fixed.roots), grammar, [])
-    for siblings, parent in chain([(fixed.roots, None)], ((n.children, t.name) for n, t in walk)):
-        table, catch_all = grammar._contexts[parent]
-        for node in siblings:
-            first = node.first_word
-            if catch_all is None and first not in table and first not in grammar._match_words:
-                suggestion = suggest(first, table)  # as in the unknownNodeType error
-                if suggestion is not None:
-                    node.set_line(suggestion + node.line[len(first):])
+    _check_roots(fixed.roots, 0, len(fixed.roots), grammar, fix=True)
     return fixed
 
 
@@ -517,7 +517,10 @@ def _fill(template, node, rendered_children) -> str:
         if index is None:  # {c} or {c|SEP}
             separator = match.group(2)
             return (NEWLINE if separator is None else separator).join(rendered_children)
-        position = int(index) + 1
+        try:
+            position = int(index) + 1
+        except ValueError:  # past the interpreter's int-to-string digit limit: past the last word
+            position = len(words)
         if match.group(4):  # {N+}: empty when no words remain
             return WORD_SEP.join(words[position:])
         if position >= len(words):

@@ -10,8 +10,10 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 from treetext.cli import main
@@ -32,6 +34,7 @@ from treetext.grammar import (
     DUPLICATE_ROOT,
     ILLEGAL_CHILD,
     UNKNOWN_NODE_TYPE,
+    TlError,
     suggest,
 )
 
@@ -414,3 +417,86 @@ def _reference_decode(node: TreeNode, path, keyed: bool):
     if rest:
         raise _fail(path, ARITY_MISMATCH, f"null node takes no value, got {rest!r}")
     return key, None
+
+
+_REFERENCE_INT = re.compile(r"[+-]?[0-9]+")
+_REFERENCE_FLOAT = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _reference_accepts(cell, word: str) -> bool:
+    if cell.base == "word":
+        if word == "":
+            return False
+    elif cell.base == "int":
+        if _REFERENCE_INT.fullmatch(word) is None:
+            return False
+    elif cell.base == "float":
+        if _REFERENCE_FLOAT.fullmatch(word) is None:
+            return False
+    elif cell.base == "bool":
+        if word not in ("true", "false"):
+            return False
+    if cell.enum_values is not None and word not in cell.enum_values:
+        return False
+    if cell.pattern is not None and cell.pattern.fullmatch(word) is None:
+        return False
+    return True
+
+
+def reference_check(doc: TreeDocument, grammar) -> "list[TlError]":
+    """``treetext.grammar.check`` as it was before autofix became a mode of
+    the typed walk, with cell bases tested by an if-chain.  Kept as a
+    reference for ``check`` and ``check_parallel``."""
+    roots = doc.roots
+    errors: "list[TlError]" = []
+    contexts = grammar._contexts
+    path = [-1]
+    stack = [(roots[i], 0, None) for i in reversed(range(len(roots)))]
+    while stack:
+        node, depth, parent = stack.pop()
+        if depth < len(path):
+            del path[depth + 1:]
+            path[depth] += 1
+        else:
+            path.append(0)
+        table, catch_all = contexts[parent]
+        first = node.first_word
+        node_type = table.get(first, catch_all)
+        if node_type is None:
+            if first in grammar._match_words:
+                errors.append(TlError(tuple(path), ILLEGAL_CHILD, f"node type {first!r} is not allowed here"))
+            else:
+                message = f"unknown node type {first!r}"
+                errors.append(TlError(tuple(path), UNKNOWN_NODE_TYPE, message, suggestion=suggest(first, table)))
+            continue
+
+        values = node.words[1:]
+        cells = node_type.cells
+        if len(values) < len(cells) or (len(values) > len(cells) and node_type.catch_all_cell is None):
+            message = f"expected {len(cells)} cells after {first!r}, got {len(values)}"
+            errors.append(TlError(tuple(path), ARITY_MISMATCH, message))
+        for i, value in enumerate(values):
+            if i < len(cells):
+                cell_name = cells[i]
+            elif node_type.catch_all_cell is not None:
+                cell_name = node_type.catch_all_cell
+            else:
+                break
+            cell = grammar.cell_types[cell_name]
+            if not _reference_accepts(cell, value):
+                suggestion = None
+                if cell.enum_values is not None:
+                    suggestion = suggest(value, sorted(cell.enum_values))
+                message = f"word {i + 2} {value!r} is not a valid {cell.name}"
+                errors.append(TlError(tuple(path), CELL_TYPE_MISMATCH, message, suggestion=suggestion))
+
+        children = node.children
+        if not children:
+            continue
+        if not node_type.child_types and node_type.catch_all_child is None:
+            message = f"{node_type.name} nodes do not take children"
+            prefix = tuple(path)
+            errors.extend(TlError(prefix + (j,), ILLEGAL_CHILD, message) for j in range(len(children)))
+            continue
+        stack.extend(zip(reversed(children), repeat(depth + 1), repeat(node_type.name)))
+    return errors

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, byte fidelity."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import POINT_JSONTL, POINT_VALUE, WEB_STATS_TN
 from helpers import DEEP, chain, run_cli
+import treetext
 from treetext import TreeDocument, TreeNode, parse, serialize
 
 
@@ -314,6 +316,16 @@ def test_missing_file_exits_one(write):
 def test_version():
     result = run_cli(["--version"])
     assert result.code == 0
+
+
+def test_cli_import_loads_no_thread_pool():
+    # Start-up: ThreadPoolExecutor, and the logging it pulls in, are
+    # imported only when a *_parallel call runs.
+    code = "import sys, treetext.cli; print(*sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(treetext.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 # ---------------------------------------------------------------------------

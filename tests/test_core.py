@@ -108,6 +108,11 @@ def test_words_and_content():
     assert blank.words == [""]
     assert blank.first_word == ""
     assert blank.content == ""
+    for line in ["", " ", "  lead", "a  b", "trail ", "trail  ", " a b ", "one", "a b c"]:
+        node = TreeNode(line)
+        words = node.words
+        assert node.first_word == words[0], repr(line)
+        assert node.content == WORD_SEP.join(words[1:]), repr(line)
 
 
 def test_constants():

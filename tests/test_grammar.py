@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import POINT_JSONTL, POINT_VALUE, CITIES_MAPTL
-from helpers import DEEP, chain, random_document, random_json, spine
+from helpers import DEEP, chain, random_document, random_json, reference_check, spine
 from treetext import (
     CompileError,
     GrammarLoadError,
@@ -357,13 +357,13 @@ def _near_misses(words):
     return sorted(misses - set(words))
 
 
-def _random_tree(rng, words, max_depth=5):
+def _random_tree(rng, words, max_depth=5, tails=("", " v", " 1 2", "  x")):
     doc = TreeDocument()
     stack = [(doc.roots, 0)]
     while stack:
         siblings, depth = stack.pop()
         for _ in range(rng.randrange(0, 4)):
-            node = TreeNode(rng.choice(words) + rng.choice(["", " v", " 1 2", "  x"]))
+            node = TreeNode(rng.choice(words) + rng.choice(tails))
             siblings.append(node)
             if depth < max_depth and rng.random() < 0.45:
                 stack.append((node.children, depth + 1))
@@ -382,6 +382,40 @@ def test_autofix_matches_the_fixed_point_of_check(jsontl, maptl):
             assert fixed == _autofix_reference(doc, grammar), serialize(doc)
             changed += fixed != doc
         assert changed > 0 or grammar is maptl  # maptl resolves every first word
+
+
+# Every cell base, an enum (alone and over a base) and a regex.
+_CELLS_GRAMMAR = (
+    "celltype w\n base word\ncelltype i\n base int\ncelltype f\n base float\n"
+    "celltype b\n base bool\ncelltype a\n base any\ncelltype color\n enum red green blue\n"
+    "celltype size\n base float\n enum 1 2.5 1e3\ncelltype hex\n regex [0-9a-f]+\n"
+    "nodetype row\n root\n cells i f b w\n catchAllCell a\n children paint hexes row\n"
+    "nodetype paint\n cells color size\n catchAllChild row\n"
+    "nodetype hexes\n root\n catchAllCell hex\n"
+    "nodetype flag\n root\n cells b\n catchAllCell color"
+)
+_CELL_TAILS = (
+    "", " 1", " -3 2.5 true x", " +7 .5e2 false  ", " 1 2 3", " red 2.5", " rde 1e3",
+    " blu 2", " ff 0a", " x GG", " true red grean", " 1e3 1. maybe y more words", " 01 - tru ",
+)
+
+
+def test_check_matches_the_reference(jsontl, maptl):
+    rng = random.Random(808)
+    cases = [(g, ("", " v", " 1 2", "  x")) for g in (jsontl, maptl, load_grammar(_FIX_GRAMMAR))]
+    cases.append((load_grammar(_CELLS_GRAMMAR), _CELL_TAILS))
+    for grammar, tails in cases:
+        match_words = sorted({nt.match for nt in grammar.node_types.values()})
+        words = match_words + _near_misses(match_words) + ["wombat"]
+        kinds = set()
+        for _ in range(300):
+            doc = _random_tree(rng, words, tails=tails)
+            expected = reference_check(doc, grammar)
+            assert check(doc, grammar) == expected, serialize(doc)
+            for workers in (1, 2, 3):
+                assert check_parallel(doc, grammar, max_workers=workers) == expected, serialize(doc)
+            kinds.update(e.kind for e in expected)
+        assert kinds >= {"unknownNodeType", "illegalChild"} or grammar is maptl
 
 
 # JSON string characters the jsontext cell takes: no quote, backslash or
@@ -467,6 +501,17 @@ def test_compile_placeholder_out_of_range():
         compile_doc(parse("pair only"), grammar)
     assert info.value.path == (0,)
     assert compile_doc(parse("pair a b c"), grammar) == "c"
+    # An index past the interpreter's int-to-string digit limit is past the last word.
+    huge = "9" * 5000
+    grammar = load_grammar(
+        "celltype any\n base any\n"
+        f"nodetype far\n root\n catchAllCell any\n compile [{{{huge}+}}]\n"
+        f"nodetype near\n root\n catchAllCell any\n compile {{{huge}}}"
+    )
+    assert compile_doc(parse("far a b c"), grammar) == "[]"
+    with pytest.raises(CompileError) as info:
+        compile_doc(parse("far a\nnear a b c"), grammar)
+    assert info.value.path == (1,)
 
 
 def test_compile_renders_children_before_their_parent():
