@@ -30,7 +30,10 @@ Grammar files are themselves tree documents::
 at depth 0; ``root catchall`` makes it match any first word at depth 0,
 which is how key-value dialects admit arbitrary keys.  A ``catchAllChild``
 plays the same role below a node.  Directives outside this list are load
-errors: grammars are the trusted layer.
+errors: grammars are the trusted layer.  Blank lines separate blocks; a
+blank line may not have indented lines under it, since they would belong
+to no block.  One table lists each block's directives and how each is
+read; the list above is its documentation.
 
 Compile templates are flat substitutions.  ``{0}``, ``{1}``, ... insert
 the words after the first word; ``{N+}`` inserts words N+1 onward joined
@@ -175,55 +178,7 @@ def _context(types, names, catch_all):
 # loading
 
 
-def load_grammar(text: str) -> Grammar:
-    """Parse and validate a grammar file. Raises GrammarLoadError."""
-    doc = parse(text)
-    name: Optional[str] = None
-    node_types: "dict[str, NodeTypeDef]" = {}
-    cell_types: "dict[str, CellTypeDef]" = {}
-    pending_refs: "list[tuple[NodePath, str, str]]" = []  # (path, kind, name)
-
-    for i, block in enumerate(doc.roots):
-        words = block.words
-        keyword = words[0]
-        if keyword == "grammar":
-            if name is not None:
-                raise GrammarLoadError("duplicate grammar name", (i,))
-            if block.children:
-                raise GrammarLoadError("grammar directive takes no children", (i,))
-            name = block.content
-        elif keyword == "nodetype":
-            type_name = _single_word(block, (i,), "name")
-            if type_name in node_types:
-                raise GrammarLoadError(f"duplicate nodetype {type_name!r}", (i,))
-            node_types[type_name] = _load_node_type(type_name, block, (i,), pending_refs)
-        elif keyword == "celltype":
-            type_name = _single_word(block, (i,), "name")
-            if type_name in cell_types:
-                raise GrammarLoadError(f"duplicate celltype {type_name!r}", (i,))
-            cell_types[type_name] = _load_cell_type(type_name, block, (i,))
-        elif block.line == "":
-            continue  # blank separator lines are fine
-        else:
-            raise GrammarLoadError(f"unknown directive {keyword!r}", (i,))
-
-    for path, kind, ref in pending_refs:
-        if kind == "cell" and ref not in cell_types:
-            raise GrammarLoadError(f"reference to unknown celltype {ref!r}", path)
-        if kind == "node" and ref not in node_types:
-            raise GrammarLoadError(f"reference to unknown nodetype {ref!r}", path)
-
-    root_types = tuple(n for n, nt in node_types.items() if nt.is_root)
-    catch_all_roots = [n for n, nt in node_types.items() if nt.is_root_catch_all]
-    if len(catch_all_roots) > 1:
-        raise GrammarLoadError("more than one catch-all root nodetype")
-    if not root_types:
-        raise GrammarLoadError("empty root type set: no nodetype is marked root")
-    root_catch_all = catch_all_roots[0] if catch_all_roots else None
-    return Grammar(name or "", node_types, cell_types, root_types, root_catch_all)
-
-
-def _single_word(node: TreeNode, path: NodePath, noun: str = "value") -> str:
+def _one_word(node: TreeNode, path: NodePath, noun: str = "value") -> str:
     words = node.words
     if len(words) != 2 or words[1] == "":
         raise GrammarLoadError(f"{words[0]} needs exactly one {noun}", path)
@@ -237,67 +192,105 @@ def _word_list(node: TreeNode, path: NodePath) -> "tuple[str, ...]":
     return values
 
 
-def _load_node_type(name, block, path, pending_refs) -> NodeTypeDef:
-    nt = NodeTypeDef(name=name, match=name)
-    for j, directive in enumerate(block.children):
-        dpath = path + (j,)
-        if directive.children:
-            raise GrammarLoadError("directives take no children", dpath)
-        keyword = directive.first_word
-        if keyword == "match":
-            nt.match = _single_word(directive, dpath)
-        elif keyword == "cells":
-            nt.cells = _word_list(directive, dpath)
-            pending_refs.extend((dpath, "cell", c) for c in nt.cells)
-        elif keyword == "catchAllCell":
-            nt.catch_all_cell = _single_word(directive, dpath)
-            pending_refs.append((dpath, "cell", nt.catch_all_cell))
-        elif keyword == "children":
-            nt.child_types = _word_list(directive, dpath)
-            pending_refs.extend((dpath, "node", c) for c in nt.child_types)
-        elif keyword == "catchAllChild":
-            nt.catch_all_child = _single_word(directive, dpath)
-            pending_refs.append((dpath, "node", nt.catch_all_child))
-        elif keyword == "root":
-            if directive.content == "":
-                nt.is_root = True
-            elif directive.content == "catchall":
-                nt.is_root = True
-                nt.is_root_catch_all = True
-            else:
-                raise GrammarLoadError("root takes nothing or 'catchall'", dpath)
-        elif keyword == "compile":
-            nt.template = directive.content
-        else:
-            raise GrammarLoadError(f"unknown nodetype directive {keyword!r}", dpath)
-    return nt
+def _root(node: TreeNode, path: NodePath) -> bool:
+    if node.content not in ("", "catchall"):
+        raise GrammarLoadError("root takes nothing or 'catchall'", path)
+    return node.content == "catchall"
 
 
-def _load_cell_type(name, block, path) -> CellTypeDef:
-    base = "any"
-    enum_values = None
-    pattern = None
-    for j, directive in enumerate(block.children):
-        dpath = path + (j,)
-        if directive.children:
-            raise GrammarLoadError("directives take no children", dpath)
-        keyword = directive.first_word
-        if keyword == "base":
-            base = _single_word(directive, dpath)
-            if base not in CELL_BASES:
-                raise GrammarLoadError(
-                    f"unknown base {base!r}, expected one of {', '.join(CELL_BASES)}", dpath
-                )
-        elif keyword == "enum":
-            enum_values = frozenset(_word_list(directive, dpath))
-        elif keyword == "regex":
-            try:
-                pattern = re.compile(directive.content)
-            except re.error as exc:
-                raise GrammarLoadError(f"bad regex: {exc}", dpath) from None
-        else:
-            raise GrammarLoadError(f"unknown celltype directive {keyword!r}", dpath)
-    return CellTypeDef(name=name, base=base, enum_values=enum_values, pattern=pattern)
+def _base(node: TreeNode, path: NodePath) -> str:
+    base = _one_word(node, path)
+    if base not in CELL_BASES:
+        raise GrammarLoadError(f"unknown base {base!r}, expected one of {', '.join(CELL_BASES)}", path)
+    return base
+
+
+def _regex(node: TreeNode, path: NodePath) -> "re.Pattern[str]":
+    try:
+        return re.compile(node.content)
+    except re.error as exc:
+        raise GrammarLoadError(f"bad regex: {exc}", path) from None
+
+
+# Each block keyword: how its definition is built from the fields its
+# directives set, and per directive (how its value is read, the field it
+# sets, the block keyword its words name or None).  ``root`` sets
+# ``is_root_catch_all`` (true for ``root catchall``), and a node type with
+# that field set at all is a root type.
+_BLOCKS = {
+    "nodetype": (
+        lambda name, match=None, **fields: NodeTypeDef(
+            name, match or name, is_root="is_root_catch_all" in fields, **fields),
+        {
+            "match": (_one_word, "match", None),
+            "cells": (_word_list, "cells", "celltype"),
+            "catchAllCell": (_one_word, "catch_all_cell", "celltype"),
+            "children": (_word_list, "child_types", "nodetype"),
+            "catchAllChild": (_one_word, "catch_all_child", "nodetype"),
+            "root": (_root, "is_root_catch_all", None),
+            "compile": (lambda node, path: node.content, "template", None),
+        },
+    ),
+    "celltype": (
+        CellTypeDef,
+        {
+            "base": (_base, "base", None),
+            "enum": (lambda node, path: frozenset(_word_list(node, path)), "enum_values", None),
+            "regex": (_regex, "pattern", None),
+        },
+    ),
+}
+
+
+def load_grammar(text: str) -> Grammar:
+    """Parse and validate a grammar file. Raises GrammarLoadError."""
+    name: Optional[str] = None
+    defs: "dict[str, dict]" = {keyword: {} for keyword in _BLOCKS}
+    refs: "list[tuple[NodePath, str, str]]" = []  # (path, block keyword, name)
+    for i, block in enumerate(parse(text).roots):
+        keyword = block.first_word
+        if keyword == "grammar":
+            if name is not None:
+                raise GrammarLoadError("duplicate grammar name", (i,))
+            if block.children:
+                raise GrammarLoadError("grammar directive takes no children", (i,))
+            name = block.content
+        elif keyword in _BLOCKS:
+            def_name = _one_word(block, (i,), "name")
+            if def_name in defs[keyword]:
+                raise GrammarLoadError(f"duplicate {keyword} {def_name!r}", (i,))
+            build, directives = _BLOCKS[keyword]
+            fields: "dict[str, object]" = {}
+            for j, directive in enumerate(block.children):
+                path = (i, j)
+                if directive.children:
+                    raise GrammarLoadError("directives take no children", path)
+                if directive.first_word not in directives:
+                    raise GrammarLoadError(f"unknown {keyword} directive {directive.first_word!r}", path)
+                read, field, refers_to = directives[directive.first_word]
+                value = read(directive, path)
+                # A repeated directive's last value wins, but a flag never turns off again.
+                fields[field] = fields.get(field) is True or value
+                if refers_to:
+                    refs.extend((path, refers_to, word) for word in directive.words[1:] if word != "")
+            defs[keyword][def_name] = build(def_name, **fields)
+        elif block.line != "":
+            raise GrammarLoadError(f"unknown directive {keyword!r}", (i,))
+        elif block.children:
+            raise GrammarLoadError("a blank line separates blocks and takes no indented lines", (i,))
+
+    for path, keyword, ref in refs:
+        if ref not in defs[keyword]:
+            raise GrammarLoadError(f"reference to unknown {keyword} {ref!r}", path)
+
+    node_types, cell_types = defs["nodetype"], defs["celltype"]
+    root_types = tuple(n for n, nt in node_types.items() if nt.is_root)
+    catch_all_roots = [n for n, nt in node_types.items() if nt.is_root_catch_all]
+    if len(catch_all_roots) > 1:
+        raise GrammarLoadError("more than one catch-all root nodetype")
+    if not root_types:
+        raise GrammarLoadError("empty root type set: no nodetype is marked root")
+    return Grammar(name or "", node_types, cell_types, root_types, next(iter(catch_all_roots), None))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +436,10 @@ def suggest(word: str, candidates: "Iterable[str]") -> Optional[str]:
     """Nearest candidate within two edits; ties go alphabetically."""
     best = None
     best_distance = _SUGGEST_MAX_DISTANCE + 1
-    for candidate in sorted(candidates):
+    # The edit distance is never below the length difference, so a candidate
+    # whose length is as far off as the best distance so far cannot win; the
+    # filter reads ``best_distance`` afresh for each candidate.
+    for candidate in (c for c in sorted(candidates) if abs(len(c) - len(word)) < best_distance):
         distance = levenshtein(word, candidate)
         if distance < best_distance:
             best, best_distance = candidate, distance

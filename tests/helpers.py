@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator
+from typing import Iterator, Optional
 
 from treetext.cli import main
 from treetext.codec import (
@@ -27,13 +27,18 @@ from treetext.codec import (
     _scalar_text,
     _tag_for,
 )
-from treetext.core import WORD_SEP, TreeDocument, TreeNode, parse, serialize
+from treetext.core import WORD_SEP, NodePath, TreeDocument, TreeNode, parse, serialize
 from treetext.grammar import (
     ARITY_MISMATCH,
+    CELL_BASES,
     CELL_TYPE_MISMATCH,
     DUPLICATE_ROOT,
     ILLEGAL_CHILD,
     UNKNOWN_NODE_TYPE,
+    CellTypeDef,
+    Grammar,
+    GrammarLoadError,
+    NodeTypeDef,
     TlError,
     suggest,
 )
@@ -500,3 +505,180 @@ def reference_check(doc: TreeDocument, grammar) -> "list[TlError]":
             continue
         stack.extend(zip(reversed(children), repeat(depth + 1), repeat(node_type.name)))
     return errors
+
+
+# ---------------------------------------------------------------------------
+# reference grammar loader
+
+
+def reference_load_grammar(text: str) -> Grammar:
+    """``treetext.grammar.load_grammar`` as it was before one directive
+    table read every block: one hand-written loader per block kind.  Kept
+    as a reference; it skips a blank top-level line together with any
+    indented lines under it, where ``load_grammar`` raises."""
+    doc = parse(text)
+    name: Optional[str] = None
+    node_types: "dict[str, NodeTypeDef]" = {}
+    cell_types: "dict[str, CellTypeDef]" = {}
+    pending_refs: "list[tuple[NodePath, str, str]]" = []  # (path, kind, name)
+
+    for i, block in enumerate(doc.roots):
+        words = block.words
+        keyword = words[0]
+        if keyword == "grammar":
+            if name is not None:
+                raise GrammarLoadError("duplicate grammar name", (i,))
+            if block.children:
+                raise GrammarLoadError("grammar directive takes no children", (i,))
+            name = block.content
+        elif keyword == "nodetype":
+            type_name = _reference_single_word(block, (i,), "name")
+            if type_name in node_types:
+                raise GrammarLoadError(f"duplicate nodetype {type_name!r}", (i,))
+            node_types[type_name] = _reference_node_type(type_name, block, (i,), pending_refs)
+        elif keyword == "celltype":
+            type_name = _reference_single_word(block, (i,), "name")
+            if type_name in cell_types:
+                raise GrammarLoadError(f"duplicate celltype {type_name!r}", (i,))
+            cell_types[type_name] = _reference_cell_type(type_name, block, (i,))
+        elif block.line == "":
+            continue  # blank separator lines are fine
+        else:
+            raise GrammarLoadError(f"unknown directive {keyword!r}", (i,))
+
+    for path, kind, ref in pending_refs:
+        if kind == "cell" and ref not in cell_types:
+            raise GrammarLoadError(f"reference to unknown celltype {ref!r}", path)
+        if kind == "node" and ref not in node_types:
+            raise GrammarLoadError(f"reference to unknown nodetype {ref!r}", path)
+
+    root_types = tuple(n for n, nt in node_types.items() if nt.is_root)
+    catch_all_roots = [n for n, nt in node_types.items() if nt.is_root_catch_all]
+    if len(catch_all_roots) > 1:
+        raise GrammarLoadError("more than one catch-all root nodetype")
+    if not root_types:
+        raise GrammarLoadError("empty root type set: no nodetype is marked root")
+    root_catch_all = catch_all_roots[0] if catch_all_roots else None
+    return Grammar(name or "", node_types, cell_types, root_types, root_catch_all)
+
+
+def _reference_single_word(node: TreeNode, path: NodePath, noun: str = "value") -> str:
+    words = node.words
+    if len(words) != 2 or words[1] == "":
+        raise GrammarLoadError(f"{words[0]} needs exactly one {noun}", path)
+    return words[1]
+
+
+def _reference_word_list(node: TreeNode, path: NodePath) -> "tuple[str, ...]":
+    values = tuple(w for w in node.words[1:] if w != "")
+    if not values:
+        raise GrammarLoadError(f"{node.first_word} needs at least one value", path)
+    return values
+
+
+def _reference_node_type(name, block, path, pending_refs) -> NodeTypeDef:
+    nt = NodeTypeDef(name=name, match=name)
+    for j, directive in enumerate(block.children):
+        dpath = path + (j,)
+        if directive.children:
+            raise GrammarLoadError("directives take no children", dpath)
+        keyword = directive.first_word
+        if keyword == "match":
+            nt.match = _reference_single_word(directive, dpath)
+        elif keyword == "cells":
+            nt.cells = _reference_word_list(directive, dpath)
+            pending_refs.extend((dpath, "cell", c) for c in nt.cells)
+        elif keyword == "catchAllCell":
+            nt.catch_all_cell = _reference_single_word(directive, dpath)
+            pending_refs.append((dpath, "cell", nt.catch_all_cell))
+        elif keyword == "children":
+            nt.child_types = _reference_word_list(directive, dpath)
+            pending_refs.extend((dpath, "node", c) for c in nt.child_types)
+        elif keyword == "catchAllChild":
+            nt.catch_all_child = _reference_single_word(directive, dpath)
+            pending_refs.append((dpath, "node", nt.catch_all_child))
+        elif keyword == "root":
+            if directive.content == "":
+                nt.is_root = True
+            elif directive.content == "catchall":
+                nt.is_root = True
+                nt.is_root_catch_all = True
+            else:
+                raise GrammarLoadError("root takes nothing or 'catchall'", dpath)
+        elif keyword == "compile":
+            nt.template = directive.content
+        else:
+            raise GrammarLoadError(f"unknown nodetype directive {keyword!r}", dpath)
+    return nt
+
+
+def _reference_cell_type(name, block, path) -> CellTypeDef:
+    base = "any"
+    enum_values = None
+    pattern = None
+    for j, directive in enumerate(block.children):
+        dpath = path + (j,)
+        if directive.children:
+            raise GrammarLoadError("directives take no children", dpath)
+        keyword = directive.first_word
+        if keyword == "base":
+            base = _reference_single_word(directive, dpath)
+            if base not in CELL_BASES:
+                raise GrammarLoadError(
+                    f"unknown base {base!r}, expected one of {', '.join(CELL_BASES)}", dpath
+                )
+        elif keyword == "enum":
+            enum_values = frozenset(_reference_word_list(directive, dpath))
+        elif keyword == "regex":
+            try:
+                pattern = re.compile(directive.content)
+            except re.error as exc:
+                raise GrammarLoadError(f"bad regex: {exc}", dpath) from None
+        else:
+            raise GrammarLoadError(f"unknown celltype directive {keyword!r}", dpath)
+    return CellTypeDef(name=name, base=base, enum_values=enum_values, pattern=pattern)
+
+
+# Block keywords, directive words of both block kinds, and words that are
+# neither.
+_GRAMMAR_BLOCKS = ("grammar", "nodetype", "celltype")
+_GRAMMAR_DIRECTIVES = (
+    "match", "cells", "catchAllCell", "children", "catchAllChild", "root", "compile", "base", "enum", "regex",
+)
+_GRAMMAR_ODD = ("mystery", "")
+# Type names of the bundled and seed grammars, bases, ``catchall`` and
+# a few words that name nothing or do not compile as a regex.
+_GRAMMAR_VALUES = (
+    "a", "b", "c", "o", "s", "obj", "str", "entry", "word", "any", "int", "bool", "jsonkey",
+    "jsontext", "catchall", "ghost", "[", "{0}", "{c|,}", "",
+)
+
+
+def mutate_grammar_text(rng: random.Random, text: str) -> str:
+    """Insert, replace or re-indent 1-3 lines of a grammar file.
+
+    A new line is blank, or a word at an indent of 0-2 spaces followed by
+    0-3 values: mostly a block keyword at indent 0 and a directive word
+    below it, sometimes any word at any indent.
+    """
+    lines = text.split("\n")
+    for _ in range(rng.randrange(1, 4)):
+        indent = rng.choice((0, 0, 0, 1, 1, 1, 1, 1, 1, 2))
+        if rng.random() < 0.05:
+            line = ""
+        else:
+            if rng.random() < 0.15:
+                words = [rng.choice(_GRAMMAR_BLOCKS + _GRAMMAR_DIRECTIVES + _GRAMMAR_ODD)]
+            else:
+                words = [rng.choice(_GRAMMAR_DIRECTIVES if indent else _GRAMMAR_BLOCKS)]
+            words += [rng.choice(_GRAMMAR_VALUES) for _ in range(rng.choice((0, 1, 1, 1, 2, 3)))]
+            line = " " * indent + " ".join(words)
+        at = rng.randrange(len(lines) + 1)
+        action = rng.random()
+        if action < 0.4 or at == len(lines):
+            lines.insert(at, line)
+        elif action < 0.7:
+            lines[at] = line
+        else:
+            lines[at] = " " * indent + lines[at].lstrip(" ")
+    return "\n".join(lines)

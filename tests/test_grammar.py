@@ -6,7 +6,16 @@ import random
 import pytest
 
 from conftest import POINT_JSONTL, POINT_VALUE, CITIES_MAPTL
-from helpers import DEEP, chain, random_document, random_json, reference_check, spine
+from helpers import (
+    DEEP,
+    chain,
+    mutate_grammar_text,
+    random_document,
+    random_json,
+    reference_check,
+    reference_load_grammar,
+    spine,
+)
 from treetext import (
     CompileError,
     GrammarLoadError,
@@ -25,7 +34,7 @@ from treetext import (
     to_json_typed,
     to_map,
 )
-from treetext.grammar import levenshtein, suggest
+from treetext.grammar import Grammar, builtin_grammar_text, levenshtein, suggest
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +98,8 @@ def test_load_error_cases():
         "nodetype a\n root\n  nested",  # directive with children
         "grammar g\n child\nnodetype a\n root",  # grammar takes no children
         "celltype c\n enum\nnodetype a\n root",  # enum needs values
+        "nodetype a\n root\n\n cells ghost",  # a directive indented under a blank line
+        "nodetype a\n root\n\n nodetype b\n  root",  # a whole block indented under a blank line
     ]
     for text in cases:
         with pytest.raises(GrammarLoadError):
@@ -99,6 +110,58 @@ def test_load_errors_carry_paths():
     with pytest.raises(GrammarLoadError) as info:
         load_grammar("nodetype a\n root\n mystery x")
     assert info.value.path == (0, 1)
+    with pytest.raises(GrammarLoadError) as info:
+        load_grammar("nodetype a\n root\n\n cells ghost")
+    assert info.value.path == (1,)
+
+
+_SEED_GRAMMAR = """grammar g
+celltype c
+ base int
+ enum 1 2
+nodetype a
+ root
+ cells c
+ children b
+nodetype b
+ catchAllCell c
+ compile {0}"""
+
+
+def _load_outcome(load, text):
+    try:
+        return load(text)
+    except GrammarLoadError as exc:
+        return exc.path, str(exc)
+
+
+def test_load_grammar_matches_the_reference():
+    texts = [
+        "nodetype a\n root catchall\n root",  # a plain root keeps the catch-all
+        "nodetype a\n root\n root catchall",
+        "nodetype a\n root catchall\n root sometimes",
+        "nodetype a\n root\n compile x\n compile",  # the last value wins, even an empty one
+        "nodetype a\n root\n cells c\n cells ghost\ncelltype c",  # every repeated line's references count
+        "celltype c\n enum x\n base int\n enum y z\nnodetype a\n root\n cells c",
+    ]
+    rng = random.Random(909)
+    bases = [builtin_grammar_text("jsontl"), builtin_grammar_text("maptl"), _SEED_GRAMMAR]
+    texts += [mutate_grammar_text(rng, bases[k % len(bases)]) for k in range(6000)]
+    loaded = blank_roots = 0
+    for text in texts:
+        expected = _load_outcome(reference_load_grammar, text)
+        blanks = [i for i, block in enumerate(parse(text).roots) if block.line == "" and block.children]
+        if not blanks:
+            assert _load_outcome(load_grammar, text) == expected, text
+            loaded += isinstance(expected, Grammar)
+            continue
+        # The reference skips a blank line and drops the lines under it.
+        blank_roots += 1
+        with pytest.raises(GrammarLoadError) as info:
+            load_grammar(text)
+        if isinstance(expected, Grammar):  # then the blank line is the first error
+            assert info.value.path == (blanks[0],), text
+    assert loaded > 300 and blank_roots > 300
 
 
 def test_unknown_builtin_grammar():
@@ -608,3 +671,16 @@ def test_suggest_tie_break_and_threshold():
     assert suggest("sx", ["a", "b", "n", "o", "s", "z"]) == "s"
     assert suggest("wombat", ["a", "b"]) is None
     assert suggest("word", []) is None
+
+
+def test_suggest_matches_the_full_scan():
+    rng = random.Random(1010)
+
+    def word():
+        return "".join(rng.choice("abcd") for _ in range(rng.randrange(0, 8)))
+
+    for _ in range(20_000):
+        target = word()
+        candidates = [word() for _ in range(rng.randrange(0, 12))]
+        distance, nearest = min(((levenshtein(target, c), c) for c in candidates), default=(0, None))
+        assert suggest(target, candidates) == (nearest if distance <= 2 else None), (target, candidates)
