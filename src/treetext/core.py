@@ -21,7 +21,11 @@ identity coincide.
 
 from __future__ import annotations
 
+import gc
 import os
+from _thread import allocate_lock
+from itertools import repeat
+from operator import sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 NEWLINE = "\n"  # separates nodes vertically; never legal inside a line
@@ -50,6 +54,37 @@ def _check_line(line: str) -> str:
     return line
 
 
+# Open collector pauses, across threads, and whether the collector was
+# enabled before the first of them began.
+_gc_lock = allocate_lock()
+_gc_pauses = 0
+_gc_was_enabled = False
+
+
+def _gc_paused(build: Callable[[], "list[TreeNode]"]) -> "list[TreeNode]":
+    """Return ``build()``, run with the cyclic garbage collector paused.
+
+    A tree holds no reference cycles, yet every node allocates two
+    tracked objects, so while a large tree is built the collector would
+    rescan it again and again.  Pauses nest, also across threads: the
+    last one to end restores the collector's state from before the first
+    one began, so a collector the caller disabled stays disabled.
+    """
+    global _gc_pauses, _gc_was_enabled
+    with _gc_lock:
+        if _gc_pauses == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_pauses += 1
+    try:
+        return build()
+    finally:
+        with _gc_lock:
+            _gc_pauses -= 1
+            if _gc_pauses == 0 and _gc_was_enabled:
+                gc.enable()
+
+
 def _insert_at(siblings: "list[TreeNode]", index: int, node: "TreeNode", what: str) -> None:
     if not 0 <= index <= len(siblings):
         raise IndexError(f"{what} index {index} out of range (0..{len(siblings)})")
@@ -67,7 +102,9 @@ class TreeNode:
     __slots__ = ("line", "children")
 
     def __init__(self, line: str = "", children: Optional[Iterable["TreeNode"]] = None):
-        self.line = _check_line(line)
+        if NEWLINE in line:  # _check_line's test, inlined: one call less per node built
+            _check_line(line)
+        self.line = line
         self.children: list[TreeNode] = list(children) if children is not None else []
 
     # -- word access ---------------------------------------------------
@@ -191,17 +228,7 @@ class TreeDocument:
     def clone(self) -> "TreeDocument":
         """Deep copy, iteratively; documents can be deeper than the
         Python recursion limit."""
-        copy = TreeDocument()
-        # (source siblings, the list their copies go into)
-        stack = [(self.roots, copy.roots)]
-        while stack:
-            sources, targets = stack.pop()
-            for source in sources:
-                node = TreeNode(source.line)
-                targets.append(node)
-                if source.children:
-                    stack.append((source.children, node.children))
-        return copy
+        return TreeDocument(_gc_paused(lambda: _copy_roots(self.roots)))
 
     # -- measurement ------------------------------------------------------
 
@@ -261,6 +288,21 @@ def _walk_depth(roots: Iterable[TreeNode]) -> Iterator[tuple[TreeNode, int]]:
             stack.pop()
 
 
+def _copy_roots(roots: list[TreeNode]) -> list[TreeNode]:
+    """Deep copies of ``roots``, iteratively."""
+    copies: list[TreeNode] = []
+    # (source siblings, the list their copies go into)
+    stack = [(roots, copies)]
+    while stack:
+        sources, targets = stack.pop()
+        for source in sources:
+            node = TreeNode(source.line)
+            targets.append(node)
+            if source.children:
+                stack.append((source.children, node.children))
+    return copies
+
+
 def _measure(roots: Iterable[TreeNode]) -> tuple[int, int]:
     """(node count, depth of the deepest node) in one walk."""
     count = deepest = 0
@@ -279,27 +321,32 @@ def parse(text: str) -> TreeDocument:
     keeps any surplus leading spaces as part of its ``line``.
     """
     doc = TreeDocument()
-    if text == "":
-        return doc
-    doc.roots.extend(_parse_lines(text.split(NEWLINE)))
+    if text:
+        doc.roots = _gc_paused(lambda: _parse_lines(text.split(NEWLINE)))
     return doc
 
 
 def _parse_lines(lines: list[str]) -> list[TreeNode]:
+    # Every line is stripped once and built into a node in one mapped
+    # pass; the loop then only attaches the nodes.
+    stripped = list(map(str.lstrip, lines, repeat(INDENT)))
+    indents = map(sub, map(len, lines), map(len, stripped))
     roots: list[TreeNode] = []
-    # stack[i] is the most recent node at depth i along the open spine;
-    # its length is always previous depth + 1.
-    stack: list[TreeNode] = []
-    for raw in lines:
-        indent = len(raw) - len(raw.lstrip(INDENT))
-        depth = min(indent, len(stack))
-        node = TreeNode(raw[depth:])
-        if depth == 0:
-            roots.append(node)
-        else:
-            stack[depth - 1].children.append(node)
-        del stack[depth:]
-        stack.append(node)
+    # kids[d] is the list that the next depth-d node joins, for every d up
+    # to top, the previous depth + 1; entries past top are stale.
+    kids = [roots]
+    top = 0
+    for node, indent, raw in zip(map(TreeNode, stripped), indents, lines):
+        if indent > top:
+            # Surplus indentation stays in the line.
+            node.line = raw[top:]
+            indent = top
+        kids[indent].append(node)
+        top = indent + 1
+        try:
+            kids[top] = node.children
+        except IndexError:  # once per level, the first time it opens
+            kids.append(node.children)
     return roots
 
 
@@ -324,9 +371,9 @@ def parse_parallel(text: str, max_workers: Optional[int] = None) -> TreeDocument
     lines = text.split(NEWLINE)
     # Line 0 starts a block even when indented: it attaches at depth 0.
     starts = [i for i, line in enumerate(lines) if i == 0 or not line.startswith(INDENT)]
-    return TreeDocument(
-        _map_blocks(lambda lo, hi: _parse_lines(lines[lo:hi]), starts, len(lines), max_workers)
-    )
+    return TreeDocument(_gc_paused(
+        lambda: _map_blocks(lambda lo, hi: _parse_lines(lines[lo:hi]), starts, len(lines), max_workers)
+    ))
 
 
 def _map_blocks(fn: Callable[[int, int], list], starts: Sequence[int], end: int, max_workers: Optional[int]) -> list:

@@ -82,7 +82,10 @@ def diff(a: TreeDocument, b: TreeDocument) -> TreeDocument:
         _diff_siblings(old, new, ops, ids, work)
     if not patch.roots:
         patch.roots = [TreeNode(f"{KEEP} 0")]
-    return patch
+    # Insert ops hold b's own nodes up to here: one copy of the whole patch
+    # detaches them with one collector pause, where a copy per inserted
+    # node would pause once per node.
+    return patch.clone()
 
 
 def _subtree_ids(*forests: "list[TreeNode]") -> "dict[int, int | str]":
@@ -152,7 +155,7 @@ def _diff_siblings(old, new, ops, ids, work) -> None:
                 _close_run(ops, word, count)
                 word, count = INSERT, 0
                 ops.append(TreeNode(INSERT))
-            ops[-1].children.append(new[j].clone())
+            ops[-1].children.append(new[j])
             j += 1
     _close_run(ops, word, count)
 
@@ -220,12 +223,12 @@ def apply_patch(patch: TreeDocument, doc: TreeDocument) -> TreeDocument:
                         _doc_path(stack, i),
                     )
                 if kind == KEEP:
-                    out.extend(node.clone() for node in source[i : i + count])
+                    out.extend(TreeDocument(source[i : i + count]).clone().roots)
                 i += count
             elif kind == INSERT:
                 if op.content:
                     raise PatchFormatError("insert takes no words", _op_path(stack, k))
-                out.extend(child.clone() for child in op.children)
+                out.extend(TreeDocument(op.children).clone().roots)
             elif kind == DESCEND:
                 if op.content:
                     raise PatchFormatError("descend takes no words", _op_path(stack, k))

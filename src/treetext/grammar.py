@@ -265,9 +265,11 @@ def load_grammar(text: str) -> Grammar:
                 path = (i, j)
                 if directive.children:
                     raise GrammarLoadError("directives take no children", path)
-                if directive.first_word not in directives:
-                    raise GrammarLoadError(f"unknown {keyword} directive {directive.first_word!r}", path)
-                read, field, refers_to = directives[directive.first_word]
+                word = directive.first_word
+                entry = directives.get(word)
+                if entry is None:
+                    raise GrammarLoadError(f"unknown {keyword} directive {word!r}", path)
+                read, field, refers_to = entry
                 value = read(directive, path)
                 # A repeated directive's last value wins, but a flag never turns off again.
                 fields[field] = fields.get(field) is True or value
@@ -334,7 +336,8 @@ def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
 
     With ``fix`` set, a node whose unknown first word has a suggestion
     gets the suggestion instead and resolves to its type; only a node
-    without one is an unknownNodeType error.
+    without one is an unknownNodeType error, and arity and cell types go
+    unchecked.
     """
     contexts = grammar._contexts
     # One path list, as in TreeDocument.walk; a tuple is built only for an error.
@@ -364,36 +367,37 @@ def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
             node.set_line(suggestion + node.line[len(first):])
             node_type = table[suggestion]
 
-        values = words[1:]
-        cells = node_type.cells
-        if len(values) < len(cells) or (len(values) > len(cells) and node_type.catch_all_cell is None):
-            errors.append(
-                TlError(
-                    tuple(path),
-                    ARITY_MISMATCH,
-                    f"expected {len(cells)} cells after {first!r}, got {len(values)}",
-                )
-            )
-        for i, value in enumerate(values):
-            if i < len(cells):
-                cell_name = cells[i]
-            elif node_type.catch_all_cell is not None:
-                cell_name = node_type.catch_all_cell
-            else:
-                break
-            cell = grammar.cell_types[cell_name]
-            if not cell.accepts(value):
-                suggestion = None
-                if cell.enum_values is not None:
-                    suggestion = suggest(value, cell.enum_values)
+        if not fix:  # autofix discards arity and cell errors: build none
+            values = words[1:]
+            cells = node_type.cells
+            if len(values) < len(cells) or (len(values) > len(cells) and node_type.catch_all_cell is None):
                 errors.append(
                     TlError(
                         tuple(path),
-                        CELL_TYPE_MISMATCH,
-                        f"word {i + 2} {value!r} is not a valid {cell.name}",
-                        suggestion=suggestion,
+                        ARITY_MISMATCH,
+                        f"expected {len(cells)} cells after {first!r}, got {len(values)}",
                     )
                 )
+            for i, value in enumerate(values):
+                if i < len(cells):
+                    cell_name = cells[i]
+                elif node_type.catch_all_cell is not None:
+                    cell_name = node_type.catch_all_cell
+                else:
+                    break
+                cell = grammar.cell_types[cell_name]
+                if not cell.accepts(value):
+                    suggestion = None
+                    if cell.enum_values is not None:
+                        suggestion = suggest(value, cell.enum_values)
+                    errors.append(
+                        TlError(
+                            tuple(path),
+                            CELL_TYPE_MISMATCH,
+                            f"word {i + 2} {value!r} is not a valid {cell.name}",
+                            suggestion=suggestion,
+                        )
+                    )
         yield node, node_type
 
         children = node.children

@@ -27,7 +27,7 @@ from treetext.codec import (
     _scalar_text,
     _tag_for,
 )
-from treetext.core import WORD_SEP, NodePath, TreeDocument, TreeNode, parse, serialize
+from treetext.core import INDENT, WORD_SEP, NodePath, TreeDocument, TreeNode, parse, serialize
 from treetext.grammar import (
     ARITY_MISMATCH,
     CELL_BASES,
@@ -181,6 +181,27 @@ def reference_walk_depth(roots) -> "Iterator[tuple[TreeNode, int]]":
         node, depth = stack.pop()
         yield node, depth
         stack.extend((child, depth + 1) for child in reversed(node.children))
+
+
+def reference_parse_lines(lines: "list[str]") -> "list[TreeNode]":
+    """``treetext.core._parse_lines`` as it was before the mapped pass:
+    one stack of open nodes, with depth ``min(indent, len(stack))``.
+    Kept as a reference for the parser."""
+    roots: "list[TreeNode]" = []
+    # stack[i] is the most recent node at depth i along the open spine;
+    # its length is always previous depth + 1.
+    stack: "list[TreeNode]" = []
+    for raw in lines:
+        indent = len(raw) - len(raw.lstrip(INDENT))
+        depth = min(indent, len(stack))
+        node = TreeNode(raw[depth:])
+        if depth == 0:
+            roots.append(node)
+        else:
+            stack[depth - 1].children.append(node)
+        del stack[depth:]
+        stack.append(node)
+    return roots
 
 
 def mutate_document(rng: random.Random, doc: TreeDocument) -> TreeDocument:

@@ -1,6 +1,9 @@
 """Parser and serializer: totality, losslessness, tree building, editing."""
 
+import gc
 import random
+import sys
+import threading
 from itertools import zip_longest
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WEB_STATS_TN
-from helpers import DEEP, chain, reference_walk_depth, spine
+from helpers import DEEP, chain, fuzz_string, reference_parse_lines, reference_walk_depth, spine
 from treetext import (
     INDENT,
     NEWLINE,
@@ -21,7 +24,7 @@ from treetext import (
     parse_parallel,
     serialize,
 )
-from treetext.core import _walk_depth
+from treetext.core import _gc_paused, _walk_depth
 
 # A structure-dense alphabet makes hypothesis hit indentation edge cases
 # far more often than fully random unicode would; a plain st.text() run
@@ -234,7 +237,7 @@ def test_insert_child_index_out_of_range():
 
 
 def test_lines_may_not_contain_newlines():
-    with pytest.raises(InvalidLineError):
+    with pytest.raises(InvalidLineError, match=r"^line may not contain a newline: 'a\\nb'$"):
         TreeNode("a\nb")
     node = TreeNode("ok")
     with pytest.raises(InvalidLineError):
@@ -417,3 +420,123 @@ def test_editing_fuzz_against_mirror():
             del entries[target[-1]]
         assert serialize(doc) == NEWLINE.join(_render_mirror(mirror))
         assert doc.node_count() == len(_render_mirror(mirror))
+
+
+# ---------------------------------------------------------------------------
+# the parser against the stack reference
+
+
+def _shape(roots) -> "list[tuple[int, str]]":
+    # (depth, line) pairs: unlike ==, which compares serializations, they
+    # tell a node with surplus spaces from a deeper node.
+    return [(depth, node.line) for node, depth in _walk_depth(roots)]
+
+
+def _assert_parses_like_the_reference(text: str) -> None:
+    expected = _shape(reference_parse_lines(text.split(NEWLINE))) if text else []
+    assert _shape(parse(text).roots) == expected
+    for workers in (1, 2, 3):
+        assert _shape(parse_parallel(text, max_workers=workers).roots) == expected
+
+
+def test_parse_matches_the_reference_on_hand_written_texts():
+    for text in (
+        "",
+        "a\n   b\n  c\n      d\n e\n  f",  # surplus indentation at every step
+        "   a\n b\n    c\nd\n  e",  # an indented first line
+        "a\r\n \tb\n\n  \n\t c\n \r\n\n",  # CR, tabs and blank lines
+        "\n\n \n  \n   ",
+    ):
+        _assert_parses_like_the_reference(text)
+
+
+def test_parse_matches_the_reference_on_fuzz_strings():
+    for seed in range(300):
+        _assert_parses_like_the_reference(fuzz_string(random.Random(seed), max_len=2000))
+
+
+def test_parse_matches_the_reference_on_random_depths():
+    rng = random.Random(5)
+    for _ in range(200):
+        lines = (INDENT * rng.randrange(0, 7) + rng.choice(("a", "", "\t", "c d")) for _ in range(rng.randrange(1, 60)))
+        _assert_parses_like_the_reference(NEWLINE.join(lines))
+
+
+def test_parse_matches_the_reference_on_flat_roots():
+    _assert_parses_like_the_reference(NEWLINE.join(f"root {i % 7}" for i in range(100_000)))
+
+
+def test_parse_matches_the_reference_on_a_deep_chain():
+    _assert_parses_like_the_reference(NEWLINE.join(INDENT * depth + "a" for depth in range(DEEP)))
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector around parse and clone
+
+
+@pytest.fixture
+def collector_state():
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_builds_leave_the_collector_as_they_found_it(collector_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    doc = parse("a\n b\n  c\nd")
+    assert gc.isenabled() is enabled
+    parse_parallel("a\n b\nc\nd", max_workers=2)
+    assert gc.isenabled() is enabled
+    doc.clone()
+    doc.roots[0].clone()
+    assert gc.isenabled() is enabled
+    doc.roots[0].children[0].line = "assigned\ndirectly"
+    with pytest.raises(InvalidLineError):
+        doc.clone()
+    assert gc.isenabled() is enabled
+
+
+def _build_and_read() -> bool:
+    parse("a\n b").clone()
+    return gc.isenabled()
+
+
+def test_collector_pauses_nest(collector_state):
+    gc.enable()
+    assert _gc_paused(_build_and_read) is False
+    assert gc.isenabled()
+
+
+def test_collector_is_enabled_after_threads_build_at_once(collector_state):
+    # Small trees, so that most switches fall inside or between pauses.  A
+    # pause that only saved and restored gc.isenabled() turns the collector
+    # on while other threads' pauses are open, and leaves it off for good
+    # when a thread reads it off during another thread's pause and disables
+    # it after that pause has ended.
+    gc.enable()
+    failures = []
+
+    def build():
+        try:
+            for _ in range(500):
+                parse("a\n b").clone()
+                if _gc_paused(_build_and_read):
+                    failures.append("collector on inside a pause")
+        except BaseException as exc:  # recorded and asserted on below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)

@@ -69,6 +69,19 @@ def test_consecutive_inserts_share_one_insert_op():
     assert serialize(patch) == "keep 1\ninsert\n x\n y\n  z"
 
 
+def test_patches_and_results_share_no_nodes_with_their_inputs():
+    a, b = parse("keep\nold\n kid"), parse("keep\nnew\n kid\n  deeper\nalso")
+    patch = diff(a, b)
+    result = apply_patch(patch, a)
+    assert result == b
+
+    def ids(doc):
+        return {id(node) for _, node in doc.walk()}
+
+    assert ids(patch).isdisjoint(ids(a) | ids(b))
+    assert ids(result).isdisjoint(ids(a) | ids(patch))
+
+
 def test_earliest_match_tie_break():
     # "a" appears twice in the source; the first occurrence is kept.
     a = parse("a\nx\na")

@@ -34,6 +34,7 @@ from treetext import (
     to_json_typed,
     to_map,
 )
+from treetext import grammar as grammar_module
 from treetext.grammar import Grammar, builtin_grammar_text, levenshtein, suggest
 
 
@@ -274,6 +275,20 @@ def test_enum_suggestion_is_reported_not_applied():
     assert errors[0].suggestion == "red"
     fixed = autofix(doc, grammar)
     assert serialize(fixed) == "paint rde"  # cell suggestions are advisory
+
+
+def test_autofix_suggests_nothing_for_cell_mismatches(monkeypatch):
+    # autofix discards every cell error, so it builds none: the enum
+    # suggestions that check reports are never computed.
+    grammar = load_grammar(
+        "celltype color\n enum red green blue\nnodetype paint\n root\n cells color"
+    )
+    doc = parse("paint rde\npaint bleu\npaint red")
+    assert [e.kind for e in check(doc, grammar)] == ["cellTypeMismatch"] * 2
+    calls = []
+    monkeypatch.setattr(grammar_module, "suggest", lambda *args: calls.append(args))
+    assert serialize(autofix(doc, grammar)) == serialize(doc)
+    assert calls == []
 
 
 def test_regex_celltype():
