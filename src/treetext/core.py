@@ -146,6 +146,8 @@ class TreeNode:
 
     def clone(self) -> "TreeNode":
         """Deep copy of this subtree."""
+        if not self.children:  # a leaf builds one node: not worth a collector pause
+            return TreeNode(self.line)
         return TreeDocument([self]).clone().roots[0]
 
     # -- serialization -----------------------------------------------------
@@ -366,9 +368,7 @@ def parse_parallel(text: str, max_workers: Optional[int] = None) -> TreeDocument
     this demonstrates that the blocks are independent; it is not a
     speedup.
     """
-    if text == "":
-        return TreeDocument()
-    lines = text.split(NEWLINE)
+    lines = text.split(NEWLINE) if text else []
     # Line 0 starts a block even when indented: it attaches at depth 0.
     starts = [i for i, line in enumerate(lines) if i == 0 or not line.startswith(INDENT)]
     return TreeDocument(_gc_paused(

@@ -61,7 +61,8 @@ from treetext.core import (
     parse,
 )
 
-# Error kinds reported by check() and by the typed codecs.
+# Error kinds of check() and of the typed codecs.  check() never reports
+# duplicateRoot; only to_json_typed and to_map raise it.
 UNKNOWN_NODE_TYPE = "unknownNodeType"
 CELL_TYPE_MISMATCH = "cellTypeMismatch"
 ARITY_MISMATCH = "arityMismatch"
@@ -482,29 +483,26 @@ def compile_doc(doc: TreeDocument, grammar: Grammar) -> str:
             f"document has {len(errors)} error(s); fix them before compiling",
             errors=tuple(errors),
         )
-    # A node renders once all its children have (post-order), so its
-    # rendered children are the tail of ``rendered`` from ``cut`` on.
-    waiting: "list[tuple[TreeNode, NodeTypeDef, int]]" = []  # (node, node_type, cut)
-    rendered: "list[str]" = []
+    # One frame (node, node_type, rendered children) per open node, over a
+    # sentinel frame whose list collects the roots' output.  The invariant:
+    # the open frames are the ancestors of the next node to render, and each
+    # frame's list holds its finished children, so each frame's count is a
+    # step of that node's path.  A frame closes once it holds one string per
+    # child and renders into its parent's list.  The sentinel's node has no
+    # children and its list is never empty when on top, so it never closes.
+    roots: "list[str]" = []
+    frames = [(TreeNode(), None, roots)]
     for node, node_type in typed:
-        waiting.append((node, node_type, len(rendered)))
-        while waiting and len(rendered) - waiting[-1][2] == len(waiting[-1][0].children):
-            node, node_type, cut = waiting.pop()
-            children = rendered[cut:]
-            del rendered[cut:]
-            if node_type.template is None:
-                rendered.append(NEWLINE.join(children))
-                continue
+        frames.append((node, node_type, []))
+        while len(frames[-1][2]) == len(frames[-1][0].children):
+            node, node_type, children = frames.pop()
+            template = node_type.template
             try:
-                rendered.append(_fill(node_type.template, node, children))
+                frames[-1][2].append(NEWLINE.join(children) if template is None else _fill(template, node, children))
             except CompileError as exc:
-                # ``waiting`` now holds the node's ancestors.  Every earlier
-                # sibling rendered to one string, so the step from one cut
-                # to the next is a child index along the path.
-                cuts = [0, *(c for _, _, c in waiting), cut]
-                exc.path = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+                exc.path = tuple(len(frame[2]) for frame in frames)
                 raise
-    return NEWLINE.join(rendered)
+    return NEWLINE.join(roots)
 
 
 def _fill(template, node, rendered_children) -> str:

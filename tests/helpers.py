@@ -27,7 +27,7 @@ from treetext.codec import (
     _scalar_text,
     _tag_for,
 )
-from treetext.core import INDENT, WORD_SEP, NodePath, TreeDocument, TreeNode, parse, serialize
+from treetext.core import INDENT, NEWLINE, WORD_SEP, NodePath, TreeDocument, TreeNode, parse, serialize
 from treetext.grammar import (
     ARITY_MISMATCH,
     CELL_BASES,
@@ -36,10 +36,13 @@ from treetext.grammar import (
     ILLEGAL_CHILD,
     UNKNOWN_NODE_TYPE,
     CellTypeDef,
+    CompileError,
     Grammar,
     GrammarLoadError,
     NodeTypeDef,
     TlError,
+    _fill,
+    _typed_walk,
     suggest,
 )
 
@@ -526,6 +529,47 @@ def reference_check(doc: TreeDocument, grammar) -> "list[TlError]":
             continue
         stack.extend(zip(reversed(children), repeat(depth + 1), repeat(node_type.name)))
     return errors
+
+
+# ---------------------------------------------------------------------------
+# reference compile
+
+
+def reference_compile_doc(doc: TreeDocument, grammar: Grammar) -> str:
+    """``treetext.grammar.compile_doc`` as it was before it kept one frame
+    per open node: a stack of (node, node_type, cut) over one shared list
+    of rendered strings, sliced and truncated per node.  Kept as a
+    reference for the output and for every ``CompileError``."""
+    errors: "list[TlError]" = []
+    typed = list(_typed_walk(doc.roots, 0, len(doc.roots), grammar, errors))
+    if errors:
+        raise CompileError(
+            f"document has {len(errors)} error(s); fix them before compiling",
+            errors=tuple(errors),
+        )
+    # A node renders once all its children have (post-order), so its
+    # rendered children are the tail of ``rendered`` from ``cut`` on.
+    waiting: "list[tuple[TreeNode, NodeTypeDef, int]]" = []  # (node, node_type, cut)
+    rendered: "list[str]" = []
+    for node, node_type in typed:
+        waiting.append((node, node_type, len(rendered)))
+        while waiting and len(rendered) - waiting[-1][2] == len(waiting[-1][0].children):
+            node, node_type, cut = waiting.pop()
+            children = rendered[cut:]
+            del rendered[cut:]
+            if node_type.template is None:
+                rendered.append(NEWLINE.join(children))
+                continue
+            try:
+                rendered.append(_fill(node_type.template, node, children))
+            except CompileError as exc:
+                # ``waiting`` now holds the node's ancestors.  Every earlier
+                # sibling rendered to one string, so the step from one cut
+                # to the next is a child index along the path.
+                cuts = [0, *(c for _, _, c in waiting), cut]
+                exc.path = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+                raise
+    return NEWLINE.join(rendered)
 
 
 # ---------------------------------------------------------------------------

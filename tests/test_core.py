@@ -24,6 +24,7 @@ from treetext import (
     parse_parallel,
     serialize,
 )
+from treetext import core
 from treetext.core import _gc_paused, _walk_depth
 
 # A structure-dense alphabet makes hypothesis hit indentation edge cases
@@ -288,6 +289,19 @@ def test_clone_is_deep():
     twin = node.clone()
     twin.append_child("extra")
     assert serialize(node) == "a\n b"
+    leaf = node.children[0]
+    leaf_copy = leaf.clone()
+    assert leaf_copy == leaf and leaf_copy is not leaf
+
+
+def test_leaf_clone_does_not_pause_the_collector(monkeypatch):
+    doc = parse("a\n b")
+    pauses = []
+    monkeypatch.setattr(core, "_gc_paused", lambda build: pauses.append(build) or build())
+    assert doc.roots[0].children[0].clone().line == "b"
+    assert pauses == []
+    assert doc.roots[0].clone() == doc.roots[0]
+    assert len(pauses) == 1
 
 
 def _assert_deep_copy(original: TreeNode, copy: TreeNode) -> None:

@@ -9,10 +9,12 @@ from conftest import POINT_JSONTL, POINT_VALUE, CITIES_MAPTL
 from helpers import (
     DEEP,
     chain,
+    mutate_document,
     mutate_grammar_text,
     random_document,
     random_json,
     reference_check,
+    reference_compile_doc,
     reference_load_grammar,
     spine,
 )
@@ -343,11 +345,14 @@ def test_check_takes_any_depth(jsontl):
 
 
 def test_parallel_calls_reject_nonpositive_workers(maptl):
-    text = "a 1\nb 2"
-    with pytest.raises(ValueError):
-        parse_parallel(text, max_workers=0)
-    with pytest.raises(ValueError):
-        check_parallel(parse(text), maptl, max_workers=0)
+    for workers in (0, -1):
+        for text in ("a 1\nb 2", ""):
+            with pytest.raises(ValueError):
+                parse_parallel(text, max_workers=workers)
+            with pytest.raises(ValueError):
+                check_parallel(parse(text), maptl, max_workers=workers)
+        with pytest.raises(ValueError):
+            check_parallel(TreeDocument(), maptl, max_workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +626,78 @@ def test_compile_error_path_at_any_depth():
         compile_doc(TreeDocument([TreeNode("pair x y z"), node]), grammar)
     assert info.value.path == tuple(reversed(path))
     assert "'pair only'" in str(info.value)
+
+
+# Templates whose {N} placeholders run out of range on short lines; the
+# first grammar's group has no template, so it joins its children's output.
+_TEMPLATE_GRAMMARS = (
+    "celltype any\n base any\n"
+    "nodetype doc\n root\n catchAllCell any\n children item pair group\n compile <{w} {0+}>{c|,}\n"
+    "nodetype group\n match group\n catchAllCell any\n children item pair group\n"
+    "nodetype item\n match item\n catchAllCell any\n children item pair\n compile [{0}:{c}]\n"
+    "nodetype pair\n match pair\n catchAllCell any\n catchAllChild item\n compile {1}={c|;}",
+    "celltype any\n base any\n"
+    "nodetype pair\n root catchall\n catchAllCell any\n catchAllChild pair\n compile ({w} {2} {c|, })",
+)
+
+
+def _match_word_tree(rng, grammar, max_depth=6):
+    # Mostly match words legal where they stand, each with 0-3 words after it.
+    everywhere = sorted(grammar._match_words)
+    doc = TreeDocument()
+    stack = [(doc.roots, None, 0)]
+    while stack:
+        siblings, parent, depth = stack.pop()
+        table, catch_all = grammar._contexts[parent]
+        legal = sorted(table) + ([catch_all.match] if catch_all else [])
+        for _ in range(rng.randrange(0 if depth == 0 else 1, 4)):
+            first = rng.choice(everywhere if rng.random() < 0.03 else legal)
+            node = TreeNode(" ".join([first] + rng.choices("xyz", k=rng.randrange(0, 4))))
+            siblings.append(node)
+            node_type = table.get(first, catch_all)
+            takes_children = node_type and (node_type.child_types or node_type.catch_all_child)
+            if takes_children and depth < max_depth and rng.random() < 0.6:
+                stack.append((node.children, node_type.name, depth + 1))
+    return doc
+
+
+def _compiled(compile, doc, grammar):
+    try:
+        return compile(doc, grammar)
+    except CompileError as exc:
+        errors = [(e.path, e.kind, e.message, e.suggestion) for e in exc.errors]
+        return str(exc), exc.path, errors
+
+
+def test_compile_matches_the_reference(jsontl, maptl):
+    rng = random.Random(1111)
+    cases = []
+    for _ in range(400):
+        doc = from_json_typed(random_json(rng, depth=rng.randrange(0, 6), text=rng.choice([None, _jsontext])))
+        cases += [(doc, jsontl), (doc, maptl)]
+        mutant = mutate_document(rng, doc)
+        cases += [(mutant, jsontl), (mutant, maptl)]
+    for text in _TEMPLATE_GRAMMARS:
+        grammar = load_grammar(text)
+        cases += [(_match_word_tree(rng, grammar), grammar) for _ in range(1500)]
+    pair = load_grammar(_TEMPLATE_GRAMMARS[1])
+    cases.append((chain(DEEP, "a"), jsontl))
+    cases += [(chain(DEEP, leaf, "pair a b c"), pair) for leaf in ("pair x y z", "pair only")]
+    compiled = refused = 0
+    template_depths = []
+    for doc, grammar in cases:
+        expected = _compiled(reference_compile_doc, doc, grammar)
+        assert _compiled(compile_doc, doc, grammar) == expected, serialize(doc)
+        if isinstance(expected, str):
+            compiled += 1
+        elif expected[2]:
+            refused += 1
+        else:
+            template_depths.append(len(expected[1]) - 1)
+    assert compiled > 1000 and refused > 1000
+    # Template failures at every depth of the generated trees, hundreds below depth 1.
+    assert sum(depth > 1 for depth in template_depths) >= 300
+    assert set(range(7)) <= set(template_depths) and DEEP in template_depths
 
 
 def test_template_placeholders():
