@@ -8,6 +8,8 @@ compilation (:mod:`treetext.grammar`).  ``treetext.cli`` exposes the
 same operations as a command-line tool.
 """
 
+import importlib
+
 from treetext.core import (
     INDENT,
     NEWLINE,
@@ -22,37 +24,39 @@ from treetext.core import (
     parse_parallel,
     serialize,
 )
-from treetext.codec import (
-    ConversionError,
-    DecodeError,
-    JsonValue,
-    from_json_typed,
-    from_json_untyped,
-    from_map,
-    to_json_typed,
-    to_map,
-)
-from treetext.differ import (
-    PatchFormatError,
-    PatchMismatchError,
-    apply_patch,
-    diff,
-)
-from treetext.grammar import (
-    CellTypeDef,
-    CompileError,
-    Grammar,
-    GrammarLoadError,
-    NodeTypeDef,
-    TlError,
-    autofix,
-    builtin_grammar_text,
-    check,
-    check_parallel,
-    compile_doc,
-    load_builtin_grammar,
-    load_grammar,
-)
+
+# The codec, differ and grammar names load on first use (PEP 562), so a
+# caller of the core alone, such as most CLI commands, never imports the
+# grammar engine.  Each name's defining module:
+_LAZY = {
+    **dict.fromkeys(
+        ("ConversionError", "DecodeError", "JsonValue", "from_json_typed", "from_json_untyped",
+         "from_map", "to_json_typed", "to_map"),
+        "treetext.codec",
+    ),
+    **dict.fromkeys(("PatchFormatError", "PatchMismatchError", "apply_patch", "diff"), "treetext.differ"),
+    **dict.fromkeys(
+        ("CellTypeDef", "CompileError", "Grammar", "GrammarLoadError", "NodeTypeDef", "TlError", "autofix",
+         "builtin_grammar_text", "check", "check_parallel", "compile_doc", "load_builtin_grammar",
+         "load_grammar"),
+        "treetext.grammar",
+    ),
+}
+
+
+def __getattr__(name: str):
+    # AttributeError, not KeyError: ``from treetext import grammar`` relies
+    # on it to fall back to importing the submodule.
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Cached in the module's globals, so this runs once per name.
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
+
+
+def __dir__() -> "list[str]":
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

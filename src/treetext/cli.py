@@ -11,8 +11,9 @@ One executable, one subcommand per library capability::
     treetext check [--strict] [--fix] <doc> --grammar <g>
     treetext compile <doc> --grammar <g>
 
-"-" means standard input.  --grammar takes a file path or the name of a
-bundled grammar (jsontl, maptl).
+"-" means standard input, and may be named at most once per command.
+--grammar takes a file path or the name of a bundled grammar (jsontl,
+maptl).
 
 Exit codes: 0 success, 1 domain error (bad JSON, patch mismatch,
 check errors under --strict), 2 usage error.
@@ -30,23 +31,14 @@ than ``fmt`` and ``patch`` terminate nonempty output with one newline.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from treetext import __version__
-from treetext.codec import from_json_typed, from_json_untyped, to_json_typed
 from treetext.core import NEWLINE, TreeDocument, TreeError, TreeNode, _measure, parse, serialize
-from treetext.differ import apply_patch, diff
-from treetext.grammar import (
-    Grammar,
-    TlError,
-    autofix,
-    builtin_grammar_text,
-    check,
-    compile_doc,
-    load_grammar,
-)
+
+# Start-up is most of a command's time, so ``json``, the codec, the differ
+# and the grammar engine are imported inside the commands that use them.
 
 BUILTIN_GRAMMARS = ("jsontl", "maptl")
 
@@ -72,7 +64,9 @@ def _write_line(text: str) -> None:
         sys.stdout.write(text + NEWLINE)
 
 
-def _load_grammar_arg(ref: str) -> Grammar:
+def _load_grammar_arg(ref: str) -> "Grammar":
+    from treetext.grammar import builtin_grammar_text, load_grammar
+
     if ref != "-" and not os.path.exists(ref) and ref in BUILTIN_GRAMMARS:
         return load_grammar(builtin_grammar_text(ref))
     return load_grammar(_read_data(ref))
@@ -107,6 +101,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_from_json(args) -> int:
+    import json
+
+    from treetext.codec import from_json_typed, from_json_untyped
+
     value = json.loads(_read_raw(args.file))
     doc = from_json_typed(value) if args.typed else from_json_untyped(value)
     _write_line(serialize(doc))
@@ -114,18 +112,26 @@ def _cmd_from_json(args) -> int:
 
 
 def _cmd_to_json(args) -> int:
+    import json
+
+    from treetext.codec import to_json_typed
+
     value = to_json_typed(parse(_read_data(args.file)))
     _write_line(json.dumps(value, ensure_ascii=False))
     return 0
 
 
 def _cmd_diff(args) -> int:
+    from treetext.differ import diff
+
     patch = diff(parse(_read_raw(args.a)), parse(_read_raw(args.b)))
     _write_line(serialize(patch))
     return 0
 
 
 def _cmd_patch(args) -> int:
+    from treetext.differ import apply_patch
+
     patch = parse(_read_data(args.patchfile))
     result = apply_patch(patch, parse(_read_raw(args.a)))
     sys.stdout.write(serialize(result))
@@ -133,6 +139,8 @@ def _cmd_patch(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from treetext.grammar import autofix, check
+
     grammar = _load_grammar_arg(args.grammar)
     doc = parse(_read_data(args.doc))
     if args.fix:
@@ -144,6 +152,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from treetext.grammar import compile_doc
+
     grammar = _load_grammar_arg(args.grammar)
     _write_line(compile_doc(parse(_read_data(args.doc)), grammar))
     return 0
@@ -204,7 +214,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # Every string argument but the subcommand's name is an input, and the
+    # first read of standard input would leave the next one empty.
+    if list(vars(args).values()).count("-") > 1:
+        parser.error("standard input ('-') may be named only once")
     try:
         return args.func(args)
     except (TreeError, OSError, ValueError, RecursionError) as exc:

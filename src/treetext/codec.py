@@ -42,7 +42,12 @@ import re
 from typing import Union
 
 from treetext.core import (
+    ARITY_MISMATCH,
+    CELL_TYPE_MISMATCH,
+    DUPLICATE_ROOT,
+    ILLEGAL_CHILD,
     NEWLINE,
+    UNKNOWN_NODE_TYPE,
     WORD_SEP,
     NodePath,
     TreeDocument,
@@ -50,15 +55,6 @@ from treetext.core import (
     TreeNode,
     parse,
     serialize,
-)
-from treetext.grammar import (
-    ARITY_MISMATCH,
-    CELL_TYPE_MISMATCH,
-    DUPLICATE_ROOT,
-    ILLEGAL_CHILD,
-    UNKNOWN_NODE_TYPE,
-    TlError,
-    suggest,
 )
 
 JsonValue = Union[dict, list, str, int, float, bool, None]
@@ -81,12 +77,16 @@ class ConversionError(TreeError):
 class DecodeError(TreeError):
     """A document does not conform to the dialect being decoded."""
 
-    def __init__(self, error: TlError):
+    def __init__(self, error: "TlError"):
         super().__init__(f"{error.message} (at path {list(error.path)})")
         self.error = error
 
 
 def _fail(path: NodePath, kind: str, message: str, suggestion=None) -> "DecodeError":
+    # The grammar module, and the dataclasses it builds on, load only when
+    # a decode fails: encoding and a successful decode never need them.
+    from treetext.grammar import TlError
+
     return DecodeError(TlError(path, kind, message, suggestion))
 
 
@@ -255,6 +255,8 @@ def _decode(node: TreeNode, stack, keyed: bool):
         raise _fail(_path(stack), ARITY_MISMATCH, f"missing key after tag {tag!r} in object")
     key, _, rest = rest.partition(WORD_SEP) if keyed else (None, sep, rest)
     if tag not in TAGS:
+        from treetext.grammar import suggest
+
         raise _fail(
             _path(stack),
             UNKNOWN_NODE_TYPE,
@@ -290,6 +292,8 @@ def _decode(node: TreeNode, stack, keyed: bool):
         if rest == "":
             raise _fail(_path(stack), ARITY_MISMATCH, "boolean node is missing its value")
         if rest not in ("true", "false"):
+            from treetext.grammar import suggest
+
             raise _fail(
                 _path(stack),
                 CELL_TYPE_MISMATCH,

@@ -40,6 +40,15 @@ class TreeError(Exception):
     """Base class for every error raised by this package."""
 
 
+# Error kinds of check() and of the typed codecs.  check() never reports
+# duplicateRoot; only to_json_typed and to_map raise it.
+UNKNOWN_NODE_TYPE = "unknownNodeType"
+CELL_TYPE_MISMATCH = "cellTypeMismatch"
+ARITY_MISMATCH = "arityMismatch"
+ILLEGAL_CHILD = "illegalChild"
+DUPLICATE_ROOT = "duplicateRoot"
+
+
 class InvalidLineError(TreeError):
     """A line string contained a newline."""
 

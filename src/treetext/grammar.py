@@ -51,7 +51,12 @@ from itertools import repeat
 from typing import Iterable, Optional
 
 from treetext.core import (
+    ARITY_MISMATCH,
+    CELL_TYPE_MISMATCH,
+    DUPLICATE_ROOT,  # unused here; the error kinds are still importable from this module
+    ILLEGAL_CHILD,
     NEWLINE,
+    UNKNOWN_NODE_TYPE,
     WORD_SEP,
     NodePath,
     TreeDocument,
@@ -60,14 +65,6 @@ from treetext.core import (
     _map_blocks,
     parse,
 )
-
-# Error kinds of check() and of the typed codecs.  check() never reports
-# duplicateRoot; only to_json_typed and to_map raise it.
-UNKNOWN_NODE_TYPE = "unknownNodeType"
-CELL_TYPE_MISMATCH = "cellTypeMismatch"
-ARITY_MISMATCH = "arityMismatch"
-ILLEGAL_CHILD = "illegalChild"
-DUPLICATE_ROOT = "duplicateRoot"
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _FLOAT_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")

@@ -318,14 +318,83 @@ def test_version():
     assert result.code == 0
 
 
-def test_cli_import_loads_no_thread_pool():
-    # Start-up: ThreadPoolExecutor, and the logging it pulls in, are
-    # imported only when a *_parallel call runs.
-    code = "import sys, treetext.cli; print(*sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff", "-", "-"],
+        ["patch", "-", "-"],
+        ["check", "--strict", "-", "--grammar", "-"],
+        ["compile", "-", "--grammar", "-"],
+    ],
+)
+def test_stdin_named_twice_is_a_usage_error(argv):
+    # The first read takes all of stdin; the second would read an empty document.
+    result = run_cli(argv, stdin=b"x\n")
+    assert result.code == 2 and result.out == ""
+    assert "standard input" in result.err
+
+
+# ---------------------------------------------------------------------------
+# start-up: what each command imports, and the lazy package namespace
+
+
+def _loaded_by(code: str, modules: "set[str]") -> "list[str]":
+    """Run ``code`` in a fresh interpreter; return which of ``modules`` it loaded."""
+    code += f"\nimport sys\nprint(*sorted({modules!r} & set(sys.modules)), file=sys.stderr)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(treetext.__file__))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stderr.split()
+
+
+def test_cli_import_loads_no_thread_pool():
+    # ThreadPoolExecutor, and the logging it pulls in, are imported only
+    # when a *_parallel call runs; json and the other treetext modules only
+    # by the commands that use them.
+    heavy = {"concurrent.futures", "logging", "json", "dataclasses", "treetext.codec", "treetext.differ",
+             "treetext.grammar"}
+    assert _loaded_by("import treetext.cli", heavy) == []
+
+
+def test_json_commands_do_not_load_the_grammar_engine(write):
+    # The codec needs the grammar module only to report a decode error.
+    json_path, tl_path = write("v.json", '{"dsl": "yrt", "ma": [1, true, null]}'), write("v.tn", POINT_JSONTL)
+    code = f"from treetext.cli import main\nassert main(['from-json', '--typed', {json_path!r}]) == 0\n"
+    code += f"assert main(['to-json', {tl_path!r}]) == 0"
+    assert _loaded_by(code, {"treetext.grammar", "dataclasses"}) == []
+
+
+PUBLIC_NAMES = [
+    "INDENT", "NEWLINE", "WORD_SEP", "NodePath", "TreeError", "InvalidLineError", "PathNotFoundError",
+    "TreeNode", "TreeDocument", "parse", "parse_parallel", "serialize", "JsonValue", "ConversionError",
+    "DecodeError", "from_json_untyped", "from_json_typed", "to_json_typed", "to_map", "from_map", "diff",
+    "apply_patch", "PatchFormatError", "PatchMismatchError", "Grammar", "NodeTypeDef", "CellTypeDef",
+    "TlError", "GrammarLoadError", "CompileError", "load_grammar", "load_builtin_grammar",
+    "builtin_grammar_text", "check", "check_parallel", "autofix", "compile_doc", "__version__",
+]
+
+
+def test_lazy_namespace_serves_every_public_name():
+    from treetext import codec, core, differ, grammar
+
+    assert treetext.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(treetext))
+    starred: dict = {}
+    exec("from treetext import *", starred)
+    for name in PUBLIC_NAMES[:-1]:
+        home = next(m for m in (core, codec, differ, grammar) if name in vars(m))
+        assert getattr(treetext, name) is vars(home)[name] is starred[name], name
+    assert starred["__version__"] == treetext.__version__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        treetext.no_such_name
+
+
+def test_lazy_namespace_imports_submodules_on_first_use():
+    # In a fresh interpreter nothing but the core is loaded yet, so these
+    # go through the module __getattr__.
+    code = "import treetext\nfrom treetext import grammar\nassert grammar.__name__ == 'treetext.grammar'\n"
+    code += "assert treetext.diff is __import__('treetext.differ').differ.diff"
+    assert _loaded_by(code, {"treetext.codec"}) == []
 
 
 # ---------------------------------------------------------------------------
