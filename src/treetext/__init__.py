@@ -10,47 +10,40 @@ same operations as a command-line tool.
 
 import importlib
 
-from treetext.core import (
-    INDENT,
-    NEWLINE,
-    WORD_SEP,
-    InvalidLineError,
-    NodePath,
-    PathNotFoundError,
-    TreeDocument,
-    TreeError,
-    TreeNode,
-    parse,
-    parse_parallel,
-    serialize,
-)
+from treetext import core
 
-# The codec, differ and grammar names load on first use (PEP 562), so a
-# caller of the core alone, such as most CLI commands, never imports the
-# grammar engine.  Each name's defining module:
-_LAZY = {
+# Each public name and its defining module, in ``__all__`` order.  The
+# core's names are bound here; the codec, differ and grammar names load on
+# first use (PEP 562), so a caller of the core alone, such as most CLI
+# commands, never imports the grammar engine.
+_HOMES = {
     **dict.fromkeys(
-        ("ConversionError", "DecodeError", "JsonValue", "from_json_typed", "from_json_untyped",
-         "from_map", "to_json_typed", "to_map"),
+        ("INDENT", "NEWLINE", "WORD_SEP", "NodePath", "TreeError", "InvalidLineError", "PathNotFoundError",
+         "TreeNode", "TreeDocument", "parse", "parse_parallel", "serialize"),
+        "treetext.core",
+    ),
+    **dict.fromkeys(
+        ("JsonValue", "ConversionError", "DecodeError", "from_json_untyped", "from_json_typed", "to_json_typed",
+         "to_map", "from_map"),
         "treetext.codec",
     ),
-    **dict.fromkeys(("PatchFormatError", "PatchMismatchError", "apply_patch", "diff"), "treetext.differ"),
+    **dict.fromkeys(("diff", "apply_patch", "PatchFormatError", "PatchMismatchError"), "treetext.differ"),
     **dict.fromkeys(
-        ("CellTypeDef", "CompileError", "Grammar", "GrammarLoadError", "NodeTypeDef", "TlError", "autofix",
-         "builtin_grammar_text", "check", "check_parallel", "compile_doc", "load_builtin_grammar",
-         "load_grammar"),
+        ("Grammar", "NodeTypeDef", "CellTypeDef", "TlError", "GrammarLoadError", "CompileError", "load_grammar",
+         "load_builtin_grammar", "builtin_grammar_text", "check", "check_parallel", "autofix", "compile_doc"),
         "treetext.grammar",
     ),
 }
+globals().update((name, vars(core)[name]) for name, home in _HOMES.items() if home == core.__name__)
 
 
 def __getattr__(name: str):
     # AttributeError, not KeyError: ``from treetext import grammar`` relies
     # on it to fall back to importing the submodule.
-    if name not in _LAZY:
+    if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # Cached in the module's globals, so this runs once per name.
-    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    value = globals()[name] = getattr(importlib.import_module(_HOMES[name]), name)
     return value
 
 
@@ -59,44 +52,4 @@ def __dir__() -> "list[str]":
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "INDENT",
-    "NEWLINE",
-    "WORD_SEP",
-    "NodePath",
-    "TreeError",
-    "InvalidLineError",
-    "PathNotFoundError",
-    "TreeNode",
-    "TreeDocument",
-    "parse",
-    "parse_parallel",
-    "serialize",
-    "JsonValue",
-    "ConversionError",
-    "DecodeError",
-    "from_json_untyped",
-    "from_json_typed",
-    "to_json_typed",
-    "to_map",
-    "from_map",
-    "diff",
-    "apply_patch",
-    "PatchFormatError",
-    "PatchMismatchError",
-    "Grammar",
-    "NodeTypeDef",
-    "CellTypeDef",
-    "TlError",
-    "GrammarLoadError",
-    "CompileError",
-    "load_grammar",
-    "load_builtin_grammar",
-    "builtin_grammar_text",
-    "check",
-    "check_parallel",
-    "autofix",
-    "compile_doc",
-    "__version__",
-]
+__all__ = [*_HOMES, "__version__"]

@@ -389,6 +389,18 @@ def test_lazy_namespace_serves_every_public_name():
         treetext.no_such_name
 
 
+def test_import_binds_only_the_core_names():
+    # Of the public names, a bare import binds the core's and __version__,
+    # and it loads none of the codec, differ and grammar modules: any of
+    # them would follow the names in the output.
+    code = "import treetext\nimport sys\n"
+    code += "print(*sorted(set(treetext.__all__) & set(vars(treetext))), file=sys.stderr)"
+    core = {"INDENT", "NEWLINE", "WORD_SEP", "NodePath", "TreeError", "InvalidLineError", "PathNotFoundError",
+            "TreeNode", "TreeDocument", "parse", "parse_parallel", "serialize", "__version__"}
+    loaded = _loaded_by(code, {"treetext.codec", "treetext.differ", "treetext.grammar"})
+    assert loaded == sorted(core)
+
+
 def test_lazy_namespace_imports_submodules_on_first_use():
     # In a fresh interpreter nothing but the core is loaded yet, so these
     # go through the module __getattr__.

@@ -20,6 +20,7 @@ from helpers import (
 )
 from treetext import (
     CompileError,
+    DecodeError,
     GrammarLoadError,
     TreeDocument,
     TreeNode,
@@ -523,6 +524,20 @@ def test_jsontl_grammar_agrees_with_the_codec(jsontl):
             tag = node.first_word  # a one-letter tag: the misspelling is one edit from it alone
             node.set_line(tag + rng.choice("qwy") + node.line[len(tag):])
         assert serialize(autofix(doc, jsontl)) == text
+    # The empty key, which the seeded draws never make: `o\n n  1` and kin.
+    for value in ({"": 1}, {"": ""}, {"": {"": None}}):
+        doc = from_json_typed(value)
+        assert check(doc, jsontl) == []
+        assert json.loads(compile_doc(doc, jsontl)) == to_json_typed(doc) == value
+
+
+def test_jsontl_grammar_suggests_booleans_like_the_decoder(jsontl):
+    for text, suggestion in (("b ture", "true"), ("o\n b k flase", "false"), ("b maybe", None)):
+        errors = check(parse(text), jsontl)
+        assert [(e.kind, e.suggestion) for e in errors] == [("cellTypeMismatch", suggestion)], text
+        with pytest.raises(DecodeError) as info:
+            to_json_typed(parse(text))
+        assert info.value.error.suggestion == suggestion, text
 
 
 # ---------------------------------------------------------------------------
