@@ -83,8 +83,8 @@ class DecodeError(TreeError):
 
 
 def _fail(path: NodePath, kind: str, message: str, suggestion=None) -> "DecodeError":
-    # The grammar module, and the dataclasses it builds on, load only when
-    # a decode fails: encoding and a successful decode never need them.
+    # The grammar module loads only when a decode fails: encoding and a
+    # successful decode never need it.
     from treetext.grammar import TlError
 
     return DecodeError(TlError(path, kind, message, suggestion))

@@ -46,7 +46,6 @@ else in the template is literal text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Optional
 
@@ -80,14 +79,51 @@ _BASE_TESTS = {
 CELL_BASES = tuple(_BASE_TESTS)
 
 
-@dataclass(frozen=True)
-class TlError:
+class _Record:
+    """A value compared, shown and pickled by the ``_fields`` its constructor takes, in order."""
+
+    __slots__ = ()
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)  # past a frozen record's __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are set once, by its constructor; it hashes by value."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TlError(_FrozenRecord):
     """One language-level error, locatable in the checked document."""
 
-    path: NodePath
-    kind: str
-    message: str
-    suggestion: Optional[str] = None
+    __slots__ = _fields = __match_args__ = ("path", "kind", "message", "suggestion")
+
+    def __init__(self, path: NodePath, kind: str, message: str, suggestion: Optional[str] = None):
+        self._set_fields(path, kind, message, suggestion)
 
 
 class GrammarLoadError(TreeError):
@@ -107,12 +143,12 @@ class CompileError(TreeError):
         self.errors = errors
 
 
-@dataclass(frozen=True)
-class CellTypeDef:
-    name: str
-    base: str = "any"
-    enum_values: Optional[frozenset] = None
-    pattern: Optional["re.Pattern[str]"] = None
+class CellTypeDef(_FrozenRecord):
+    __slots__ = _fields = __match_args__ = ("name", "base", "enum_values", "pattern")
+
+    def __init__(self, name: str, base: str = "any", enum_values: Optional[frozenset] = None,
+                 pattern: Optional["re.Pattern[str]"] = None):
+        self._set_fields(name, base, enum_values, pattern)
 
     def accepts(self, word: str) -> bool:
         if not _BASE_TESTS[self.base](word):
@@ -124,45 +160,41 @@ class CellTypeDef:
         return True
 
 
-@dataclass
-class NodeTypeDef:
-    name: str
-    match: str
-    cells: "tuple[str, ...]" = ()
-    catch_all_cell: Optional[str] = None
-    child_types: "tuple[str, ...]" = ()
-    catch_all_child: Optional[str] = None
-    is_root: bool = False
-    is_root_catch_all: bool = False
-    template: Optional[str] = None
+class NodeTypeDef(_Record):
+    __slots__ = _fields = __match_args__ = (
+        "name", "match", "cells", "catch_all_cell", "child_types", "catch_all_child", "is_root", "is_root_catch_all",
+        "template",
+    )
+
+    def __init__(self, name: str, match: str, cells: "tuple[str, ...]" = (), catch_all_cell: Optional[str] = None,
+                 child_types: "tuple[str, ...]" = (), catch_all_child: Optional[str] = None,
+                 is_root: bool = False, is_root_catch_all: bool = False, template: Optional[str] = None):
+        self._set_fields(
+            name, match, cells, catch_all_cell, child_types, catch_all_child, is_root, is_root_catch_all, template
+        )
 
 
-@dataclass
-class Grammar:
+class Grammar(_Record):
     """An immutable (after load) tree-language definition."""
 
-    name: str = ""
-    node_types: "dict[str, NodeTypeDef]" = field(default_factory=dict)
-    cell_types: "dict[str, CellTypeDef]" = field(default_factory=dict)
-    root_types: "tuple[str, ...]" = ()
-    root_catch_all: Optional[str] = None
-    # One (table, catch_all) pair per context, keyed by the parent node
-    # type's name; the key None holds the depth-0 context.  ``table`` maps
-    # each match word to the first node type declared with it, and a node
-    # resolves with ``table.get(first_word, catch_all)``.
-    _contexts: "dict[Optional[str], tuple]" = field(init=False, repr=False, compare=False)
-    # Every match word; an unresolved node with one of these is an illegal child.
-    _match_words: frozenset = field(init=False, repr=False, compare=False)
+    _fields = __match_args__ = ("name", "node_types", "cell_types", "root_types", "root_catch_all")
+    # Two tables derived from the fields, outside ``==`` and ``repr``.
+    # ``_contexts`` holds one (table, catch_all) pair per context, keyed by
+    # the parent node type's name; the key None holds the depth-0 context.
+    # ``table`` maps each match word to the first node type declared with
+    # it, and a node resolves with ``table.get(first_word, catch_all)``.
+    # ``_match_words`` holds every match word; an unresolved node with one
+    # of these is an illegal child.
+    __slots__ = (*_fields, "_contexts", "_match_words")
 
-    def __post_init__(self) -> None:
-        types = self.node_types
+    def __init__(self, name: str = "", node_types: "Optional[dict[str, NodeTypeDef]]" = None,
+                 cell_types: "Optional[dict[str, CellTypeDef]]" = None, root_types: "tuple[str, ...]" = (),
+                 root_catch_all: Optional[str] = None):
+        types = {} if node_types is None else node_types
+        self._set_fields(name, types, {} if cell_types is None else cell_types, root_types, root_catch_all)
         self._match_words = frozenset(nt.match for nt in types.values())
-        self._contexts = {
-            nt.name: _context(types, nt.child_types, nt.catch_all_child) for nt in types.values()
-        }
-        self._contexts[None] = _context(
-            types, [n for n in self.root_types if n != self.root_catch_all], self.root_catch_all
-        )
+        self._contexts = {nt.name: _context(types, nt.child_types, nt.catch_all_child) for nt in types.values()}
+        self._contexts[None] = _context(types, [n for n in root_types if n != root_catch_all], root_catch_all)
 
 
 def _context(types, names, catch_all):

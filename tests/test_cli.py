@@ -364,6 +364,18 @@ def test_json_commands_do_not_load_the_grammar_engine(write):
     assert _loaded_by(code, {"treetext.grammar", "dataclasses"}) == []
 
 
+def test_grammar_commands_load_neither_dataclasses_nor_inspect(write):
+    # The grammar value types are plain slotted classes, so checking,
+    # compiling and reporting a decode error skip both modules' import.
+    good, bad = write("p.tn", POINT_JSONTL), write("bad.tn", "o\n sx dsl yrt")
+    code = "import contextlib, io\nimport treetext.grammar\nfrom treetext.cli import main\n"
+    code += "with contextlib.redirect_stderr(io.StringIO()):  # to-json's error line\n"
+    code += f"    assert main(['check', {bad!r}, '--grammar', 'jsontl']) == 0\n"
+    code += f"    assert main(['compile', {good!r}, '--grammar', 'jsontl']) == 0\n"
+    code += f"    assert main(['to-json', {bad!r}]) == 1"
+    assert _loaded_by(code, {"dataclasses", "inspect"}) == []
+
+
 PUBLIC_NAMES = [
     "INDENT", "NEWLINE", "WORD_SEP", "NodePath", "TreeError", "InvalidLineError", "PathNotFoundError",
     "TreeNode", "TreeDocument", "parse", "parse_parallel", "serialize", "JsonValue", "ConversionError",

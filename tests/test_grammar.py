@@ -1,7 +1,10 @@
 """Grammar engine: loading, checking, suggestions, autofix, compiling."""
 
+import copy
 import json
+import pickle
 import random
+import re
 
 import pytest
 
@@ -38,7 +41,15 @@ from treetext import (
     to_map,
 )
 from treetext import grammar as grammar_module
-from treetext.grammar import Grammar, builtin_grammar_text, levenshtein, suggest
+from treetext.grammar import (
+    CellTypeDef,
+    Grammar,
+    NodeTypeDef,
+    TlError,
+    builtin_grammar_text,
+    levenshtein,
+    suggest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -791,3 +802,88 @@ def test_suggest_matches_the_full_scan():
         candidates = [word() for _ in range(rng.randrange(0, 12))]
         distance, nearest = min(((levenshtein(target, c), c) for c in candidates), default=(0, None))
         assert suggest(target, candidates) == (nearest if distance <= 2 else None), (target, candidates)
+
+
+# ---------------------------------------------------------------------------
+# the grammar value types
+
+_INT = CellTypeDef("int", "int")
+_NODE_FIELDS = (
+    "name", "match", "cells", "catch_all_cell", "child_types", "catch_all_child", "is_root",
+    "is_root_catch_all", "template",
+)
+_GRAMMAR_FIELDS = ("name", "node_types", "cell_types", "root_types", "root_catch_all")
+
+
+def _value_type_cases():
+    """(type, field names, values in field order, defaults of the trailing fields)."""
+    node = NodeTypeDef("point", "p", ("int",), None, (), None, True, False, "{0}")
+    return [
+        (TlError, ("path", "kind", "message", "suggestion"), ((0, 1), "arityMismatch", "m", "s"), (None,)),
+        (CellTypeDef, ("name", "base", "enum_values", "pattern"),
+         ("digit", "int", frozenset({"1"}), re.compile("[0-9]")), ("any", None, None)),
+        (NodeTypeDef, _NODE_FIELDS, ("point", "p", ("int",), "int", ("point",), "point", True, True, "{0}"),
+         ((), None, (), None, False, False, None)),
+        (Grammar, _GRAMMAR_FIELDS, ("g", {"point": node}, {"int": _INT}, ("point",), None),
+         ("", {}, {}, (), None)),
+    ]
+
+
+@pytest.mark.parametrize("cls, fields, values, defaults", _value_type_cases())
+def test_value_types_keep_their_fields_constructor_and_equality(cls, fields, values, defaults):
+    assert cls.__match_args__ == fields
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    for value in (by_position, by_keyword):
+        assert tuple(getattr(value, name) for name in fields) == values
+    assert by_position == by_keyword and not by_position != by_keyword
+    required = len(fields) - len(defaults)
+    bare = cls(*values[:required])
+    assert tuple(getattr(bare, name) for name in fields[required:]) == defaults
+    assert bare != by_position and not bare == by_position
+    other_type = TlError((), "", "") if cls is CellTypeDef else _INT
+    assert by_position != values and by_position != other_type and not by_position == other_type
+    match by_position:
+        case cls(first, second):
+            assert (first, second) == values[:2]
+        case _:
+            pytest.fail("positional match failed")
+    assert repr(by_position) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(fields, values)) + ")"
+    assert copy.deepcopy(by_position) == pickle.loads(pickle.dumps(by_position)) == by_position
+
+
+def test_value_type_repr_matches_the_readme(jsontl):
+    assert repr(check(parse("o\n sx dsl yrt"), jsontl)) == (
+        "[TlError(path=(0, 0), kind='unknownNodeType', message=\"unknown node type 'sx'\", suggestion='s')]"
+    )
+
+
+def test_frozen_value_types_hash_and_refuse_changes():
+    error = TlError((0,), "arityMismatch", "m")
+    assert hash(error) == hash(TlError((0,), "arityMismatch", "m", None))
+    assert hash(CellTypeDef("c", "int")) == hash(CellTypeDef("c", "int"))
+    assert len({error, TlError((0,), "arityMismatch", "m"), _INT, CellTypeDef("int", "int")}) == 2
+    for frozen, name in ((error, "kind"), (_INT, "base")):
+        with pytest.raises(AttributeError):
+            setattr(frozen, name, "x")
+        with pytest.raises(AttributeError):
+            delattr(frozen, name)
+    assert error.kind == "arityMismatch" and _INT.base == "int"
+
+
+def test_mutable_value_types_do_not_hash(jsontl):
+    node = NodeTypeDef("a", "a")
+    for value in (node, jsontl):
+        with pytest.raises(TypeError):
+            hash(value)
+    node.match = "b"  # the reference loader in tests/helpers.py builds node types in place
+    assert node == NodeTypeDef("a", "b")
+    assert Grammar().node_types is not Grammar().node_types
+
+
+def test_grammar_equality_and_repr_ignore_its_derived_tables():
+    text = builtin_grammar_text("maptl")
+    first, second = load_grammar(text), load_grammar(text)
+    second._contexts, second._match_words = {}, frozenset()
+    assert first == second and repr(first) == repr(second)
+    assert "_contexts" not in repr(first) and "_match_words" not in repr(first)
