@@ -45,8 +45,10 @@ else in the template is literal text.
 
 from __future__ import annotations
 
+import os
 import re
 from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from treetext.core import (
@@ -80,26 +82,23 @@ CELL_BASES = tuple(_BASE_TESTS)
 
 
 class _Record:
-    """A value compared, shown and pickled by the ``_fields`` its constructor takes, in order."""
+    """A value compared, shown and pickled by the ``_fields`` its constructor takes, in order.
 
-    __slots__ = ()
+    Each subclass sets ``_values = attrgetter(*_fields)``; an attrgetter does
+    not bind, so it is called as ``self._values(self)``.
+    """
 
-    def _set_fields(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)  # past a frozen record's __setattr__
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    __slots__ = ("__weakref__",)
 
     def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
 
 class _FrozenRecord(_Record):
@@ -107,8 +106,12 @@ class _FrozenRecord(_Record):
 
     __slots__ = ()
 
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)  # past this class's __setattr__
+
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -121,6 +124,7 @@ class TlError(_FrozenRecord):
     """One language-level error, locatable in the checked document."""
 
     __slots__ = _fields = __match_args__ = ("path", "kind", "message", "suggestion")
+    _values = attrgetter(*_fields)
 
     def __init__(self, path: NodePath, kind: str, message: str, suggestion: Optional[str] = None):
         self._set_fields(path, kind, message, suggestion)
@@ -145,6 +149,7 @@ class CompileError(TreeError):
 
 class CellTypeDef(_FrozenRecord):
     __slots__ = _fields = __match_args__ = ("name", "base", "enum_values", "pattern")
+    _values = attrgetter(*_fields)
 
     def __init__(self, name: str, base: str = "any", enum_values: Optional[frozenset] = None,
                  pattern: Optional["re.Pattern[str]"] = None):
@@ -165,19 +170,21 @@ class NodeTypeDef(_Record):
         "name", "match", "cells", "catch_all_cell", "child_types", "catch_all_child", "is_root", "is_root_catch_all",
         "template",
     )
+    _values = attrgetter(*_fields)
 
     def __init__(self, name: str, match: str, cells: "tuple[str, ...]" = (), catch_all_cell: Optional[str] = None,
                  child_types: "tuple[str, ...]" = (), catch_all_child: Optional[str] = None,
                  is_root: bool = False, is_root_catch_all: bool = False, template: Optional[str] = None):
-        self._set_fields(
-            name, match, cells, catch_all_cell, child_types, catch_all_child, is_root, is_root_catch_all, template
-        )
+        self.name, self.match, self.cells, self.catch_all_cell = name, match, cells, catch_all_cell
+        self.child_types, self.catch_all_child, self.template = child_types, catch_all_child, template
+        self.is_root, self.is_root_catch_all = is_root, is_root_catch_all
 
 
 class Grammar(_Record):
     """An immutable (after load) tree-language definition."""
 
     _fields = __match_args__ = ("name", "node_types", "cell_types", "root_types", "root_catch_all")
+    _values = attrgetter(*_fields)
     # Two tables derived from the fields, outside ``==`` and ``repr``.
     # ``_contexts`` holds one (table, catch_all) pair per context, keyed by
     # the parent node type's name; the key None holds the depth-0 context.
@@ -191,7 +198,8 @@ class Grammar(_Record):
                  cell_types: "Optional[dict[str, CellTypeDef]]" = None, root_types: "tuple[str, ...]" = (),
                  root_catch_all: Optional[str] = None):
         types = {} if node_types is None else node_types
-        self._set_fields(name, types, {} if cell_types is None else cell_types, root_types, root_catch_all)
+        self.name, self.node_types, self.root_types, self.root_catch_all = name, types, root_types, root_catch_all
+        self.cell_types = {} if cell_types is None else cell_types
         self._match_words = frozenset(nt.match for nt in types.values())
         self._contexts = {nt.name: _context(types, nt.child_types, nt.catch_all_child) for nt in types.values()}
         self._contexts[None] = _context(types, [n for n in root_types if n != root_catch_all], root_catch_all)
@@ -561,14 +569,18 @@ def _fill(template, node, rendered_children) -> str:
 # bundled grammars
 
 
+_GRAMMARS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "grammars")
+
+
 def builtin_grammar_text(name: str) -> str:
     """Source text of a bundled grammar (``jsontl`` or ``maptl``)."""
-    from importlib.resources import files
-
-    resource = files("treetext").joinpath(f"grammars/{name}.grammar")
-    if not resource.is_file():
+    # A plain file read: importlib.resources would cost more start-up time
+    # than the rest of the grammar engine.
+    path = os.path.join(_GRAMMARS_DIR, f"{name}.grammar")
+    if os.path.dirname(path) != _GRAMMARS_DIR or not os.path.isfile(path):
         raise GrammarLoadError(f"no bundled grammar named {name!r}")
-    return resource.read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def load_builtin_grammar(name: str) -> Grammar:

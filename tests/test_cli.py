@@ -365,8 +365,10 @@ def test_json_commands_do_not_load_the_grammar_engine(write):
 
 
 def test_grammar_commands_load_neither_dataclasses_nor_inspect(write):
-    # The grammar value types are plain slotted classes, so checking,
-    # compiling and reporting a decode error skip both modules' import.
+    # The grammar value types are plain slotted classes, and a bundled
+    # grammar is read as a plain file (importlib.resources imports inspect
+    # on Python 3.12 and later), so checking, compiling and reporting a
+    # decode error skip both modules' import.
     good, bad = write("p.tn", POINT_JSONTL), write("bad.tn", "o\n sx dsl yrt")
     code = "import contextlib, io\nimport treetext.grammar\nfrom treetext.cli import main\n"
     code += "with contextlib.redirect_stderr(io.StringIO()):  # to-json's error line\n"

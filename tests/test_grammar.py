@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import re
+import weakref
 
 import pytest
 
@@ -887,3 +888,14 @@ def test_grammar_equality_and_repr_ignore_its_derived_tables():
     second._contexts, second._match_words = {}, frozenset()
     assert first == second and repr(first) == repr(second)
     assert "_contexts" not in repr(first) and "_match_words" not in repr(first)
+
+
+def test_value_types_can_be_weakly_referenced(jsontl):
+    for value in (TlError((), "k", "m"), _INT, NodeTypeDef("a", "a"), jsontl):
+        assert weakref.ref(value)() is value
+
+
+@pytest.mark.parametrize("name", ["nosuch", "", "../grammars/jsontl", "grammars/jsontl", "../__init__"])
+def test_builtin_grammar_text_reads_only_the_bundled_grammars(name):
+    with pytest.raises(GrammarLoadError, match="no bundled grammar named"):
+        builtin_grammar_text(name)
