@@ -65,10 +65,10 @@ def _write_line(text: str) -> None:
 
 
 def _load_grammar_arg(ref: str) -> "Grammar":
-    from treetext.grammar import builtin_grammar_text, load_grammar
+    from treetext.grammar import load_builtin_grammar, load_grammar
 
     if ref != "-" and not os.path.exists(ref) and ref in BUILTIN_GRAMMARS:
-        return load_grammar(builtin_grammar_text(ref))
+        return load_builtin_grammar(ref)
     return load_grammar(_read_data(ref))
 
 
@@ -163,53 +163,39 @@ def _cmd_compile(args) -> int:
 # wiring
 
 
+def _flag(name: str, help: str) -> "tuple[str, dict]":
+    return name, {"action": "store_true", "help": help}
+
+
+_GRAMMAR = "--grammar", {"required": True, "help": f"grammar file, or a bundled name ({', '.join(BUILTIN_GRAMMARS)})"}
+
+# name: (function, help line, arguments in the order they are added); an
+# argument is a positional's name or a (flag, add_argument options) pair.
+_COMMANDS = {
+    "fmt": (_cmd_fmt, "parse and reserialize a document (byte identity)", ["file"]),
+    "stats": (_cmd_stats, "print node count and maximum depth", ["file"]),
+    "from-json": (_cmd_from_json, "convert JSON to a tree document",
+                  [_flag("--typed", "emit lossless JsonTL instead of the untyped view"), "file"]),
+    "to-json": (_cmd_to_json, "decode a JsonTL document to JSON", ["file"]),
+    "diff": (_cmd_diff, "print the edit script turning one document into another", ["a", "b"]),
+    "patch": (_cmd_patch, "apply an edit script to a document", ["patchfile", "a"]),
+    "check": (_cmd_check, "validate a document against a grammar",
+              ["doc", _GRAMMAR, _flag("--strict", "exit 1 when any error is found"),
+               _flag("--fix", "print the auto-corrected document instead of errors")]),
+    "compile": (_cmd_compile, "compile a document through its grammar's templates", ["doc", _GRAMMAR]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="treetext",
-        description="Work with indentation-structured tree documents.",
-    )
+    parser = argparse.ArgumentParser(prog="treetext", description="Work with indentation-structured tree documents.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("fmt", help="parse and reserialize a document (byte identity)")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_fmt)
-
-    p = sub.add_parser("stats", help="print node count and maximum depth")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("from-json", help="convert JSON to a tree document")
-    p.add_argument("--typed", action="store_true", help="emit lossless JsonTL instead of the untyped view")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_from_json)
-
-    p = sub.add_parser("to-json", help="decode a JsonTL document to JSON")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_to_json)
-
-    p = sub.add_parser("diff", help="print the edit script turning one document into another")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_diff)
-
-    p = sub.add_parser("patch", help="apply an edit script to a document")
-    p.add_argument("patchfile")
-    p.add_argument("a")
-    p.set_defaults(func=_cmd_patch)
-
-    p = sub.add_parser("check", help="validate a document against a grammar")
-    p.add_argument("doc")
-    p.add_argument("--grammar", required=True, help="grammar file, or a bundled name (jsontl, maptl)")
-    p.add_argument("--strict", action="store_true", help="exit 1 when any error is found")
-    p.add_argument("--fix", action="store_true", help="print the auto-corrected document instead of errors")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("compile", help="compile a document through its grammar's templates")
-    p.add_argument("doc")
-    p.add_argument("--grammar", required=True, help="grammar file, or a bundled name (jsontl, maptl)")
-    p.set_defaults(func=_cmd_compile)
-
+    for name, (func, summary, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for argument in arguments:
+            flag, options = (argument, {}) if isinstance(argument, str) else argument
+            command.add_argument(flag, **options)
+        command.set_defaults(func=func)
     return parser
 
 

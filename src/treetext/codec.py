@@ -31,7 +31,7 @@ any depth that memory allows converts.
 Encoders raise ConversionError for values outside their domain (keys
 with spaces or newlines, non-finite numbers, values that contain
 themselves).  Decoders raise DecodeError, which carries a TlError
-locating the offending node.
+locating the offending node; its ``path`` is the TlError's.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class DecodeError(TreeError):
     """A document does not conform to the dialect being decoded."""
 
     def __init__(self, error: "TlError"):
-        super().__init__(f"{error.message} (at path {list(error.path)})")
+        super().__init__(error.message, error.path)
         self.error = error
 
 

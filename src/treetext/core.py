@@ -37,7 +37,24 @@ NodePath = tuple[int, ...]
 
 
 class TreeError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``path`` is the node path the error points at, or ``()`` when it points
+    at no node.  A nonempty path ends the message, as ``(at path [0, 2])``;
+    it is rendered when the error is shown, so a path set after the error
+    was built still shows.  A subclass renames the path's kind through
+    ``_where``.
+    """
+
+    _where = "path"
+
+    def __init__(self, message: str = "", path: NodePath = ()):
+        super().__init__(message)
+        self.path = path
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return f"{message} (at {self._where} {list(self.path)})" if self.path else message
 
 
 # Error kinds of check() and of the typed codecs.  check() never reports

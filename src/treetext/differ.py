@@ -51,19 +51,13 @@ DESCEND = "descend"
 
 
 class PatchFormatError(TreeError):
-    """The patch document is not well-formed PatchTL."""
+    """The patch document is not well-formed PatchTL; ``path`` is in the patch."""
 
-    def __init__(self, message: str, path: NodePath = ()):
-        super().__init__(f"{message} (at patch path {list(path)})" if path else message)
-        self.path = path
+    _where = "patch path"
 
 
 class PatchMismatchError(TreeError):
     """The patch does not fit the document it was applied to."""
-
-    def __init__(self, message: str, path: NodePath = ()):
-        super().__init__(f"{message} (at path {list(path)})")
-        self.path = path
 
 
 # ---------------------------------------------------------------------------

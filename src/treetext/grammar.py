@@ -133,17 +133,12 @@ class TlError(_FrozenRecord):
 class GrammarLoadError(TreeError):
     """The grammar file itself is malformed."""
 
-    def __init__(self, message: str, path: NodePath = ()):
-        super().__init__(f"{message} (at path {list(path)})" if path else message)
-        self.path = path
-
 
 class CompileError(TreeError):
     """Compilation refused or failed; ``errors`` holds pending check errors."""
 
     def __init__(self, message: str, path: NodePath = (), errors: "tuple[TlError, ...]" = ()):
-        super().__init__(message)
-        self.path = path
+        super().__init__(message, path)
         self.errors = errors
 
 

@@ -12,6 +12,7 @@ from conftest import POINT_JSONTL, POINT_VALUE, WEB_STATS_TN
 from helpers import DEEP, chain, run_cli
 import treetext
 from treetext import TreeDocument, TreeNode, parse, serialize
+from treetext.cli import _build_parser
 
 
 @pytest.fixture
@@ -290,6 +291,13 @@ def test_compile_refuses_errors(write):
     assert "error" in result.err
 
 
+def test_compile_reports_where_a_template_failed(write):
+    grammar = write("pair.grammar", "celltype any\n base any\nnodetype pair\n root\n catchAllCell any\n compile {1}\n")
+    result = run_cli(["compile", write("doc.tn", "pair x\n"), "--grammar", grammar])
+    assert result.code == 1 and result.out == ""
+    assert result.err == "treetext: template placeholder {1} out of range for line 'pair x' (at path [0])\n"
+
+
 def test_compile_empty_document(write):
     result = run_cli(["compile", write("doc.tn", ""), "--grammar", "jsontl"])
     assert result.code == 0 and result.out == ""
@@ -316,6 +324,58 @@ def test_missing_file_exits_one(write):
 def test_version():
     result = run_cli(["--version"])
     assert result.code == 0
+    assert result.out == f"treetext {treetext.__version__}\n"
+
+
+def _parsed(func: str, command: str, **args) -> dict:
+    return {"command": command, "func": func, **args}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["fmt", "a.tn"], _parsed("_cmd_fmt", "fmt", file="a.tn")),
+        (["stats", "-"], _parsed("_cmd_stats", "stats", file="-")),
+        (["from-json", "v.json"], _parsed("_cmd_from_json", "from-json", typed=False, file="v.json")),
+        (["from-json", "v.json", "--typed"], _parsed("_cmd_from_json", "from-json", typed=True, file="v.json")),
+        (["from-json", "--typed", "-"], _parsed("_cmd_from_json", "from-json", typed=True, file="-")),
+        (["to-json", "v.tn"], _parsed("_cmd_to_json", "to-json", file="v.tn")),
+        (["diff", "a.tn", "b.tn"], _parsed("_cmd_diff", "diff", a="a.tn", b="b.tn")),
+        (["patch", "p.tn", "a.tn"], _parsed("_cmd_patch", "patch", patchfile="p.tn", a="a.tn")),
+        (
+            ["check", "d.tn", "--grammar", "jsontl"],
+            _parsed("_cmd_check", "check", doc="d.tn", grammar="jsontl", strict=False, fix=False),
+        ),
+        (
+            ["check", "--fix", "--grammar=g.grammar", "--strict", "d.tn"],
+            _parsed("_cmd_check", "check", doc="d.tn", grammar="g.grammar", strict=True, fix=True),
+        ),
+        (
+            ["check", "--strict", "-", "--grammar", "maptl"],
+            _parsed("_cmd_check", "check", doc="-", grammar="maptl", strict=True, fix=False),
+        ),
+        (["compile", "d.tn", "--grammar", "jsontl"], _parsed("_cmd_compile", "compile", doc="d.tn", grammar="jsontl")),
+        (["compile", "--grammar", "-", "d.tn"], _parsed("_cmd_compile", "compile", doc="d.tn", grammar="-")),
+    ],
+)
+def test_argv_parses_to_the_same_arguments(argv, expected):
+    args = vars(_build_parser().parse_args(argv))
+    assert {**args, "func": args["func"].__name__} == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fmt"], ["stats"], ["from-json"], ["from-json", "--typed"], ["to-json"], ["diff"], ["diff", "a"],
+        ["patch"], ["patch", "p"], ["check"], ["check", "d"], ["check", "--grammar", "jsontl"],
+        ["check", "d", "--grammar"], ["compile"], ["compile", "d"], ["compile", "--grammar", "jsontl"],
+        ["fmt", "a", "b"], ["to-json", "--typed", "a"], ["compile", "--strict", "d", "--grammar", "g"],
+    ],
+)
+def test_missing_or_unknown_arguments_exit_two(argv):
+    result = run_cli(argv)
+    assert result.code == 2 and result.out == ""
+    assert result.err.startswith("usage: treetext ")
 
 
 @pytest.mark.parametrize(

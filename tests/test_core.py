@@ -16,13 +16,25 @@ from treetext import (
     INDENT,
     NEWLINE,
     WORD_SEP,
+    CompileError,
+    ConversionError,
+    DecodeError,
+    GrammarLoadError,
     InvalidLineError,
+    PatchFormatError,
+    PatchMismatchError,
     PathNotFoundError,
     TreeDocument,
+    TreeError,
     TreeNode,
+    apply_patch,
+    compile_doc,
+    from_json_untyped,
+    load_grammar,
     parse,
     parse_parallel,
     serialize,
+    to_json_typed,
 )
 from treetext import core
 from treetext.core import _gc_paused, _walk_depth
@@ -554,3 +566,72 @@ def test_collector_is_enabled_after_threads_build_at_once(collector_state):
             assert gc.isenabled()
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# errors: one rule renders every node path
+
+
+_PAIR_GRAMMAR = "celltype any\n base any\nnodetype pair\n root\n catchAllCell any\n compile {1}"
+
+
+@pytest.mark.parametrize(
+    "raise_it, error_type, message, path",
+    [
+        (
+            lambda: load_grammar("nodetype a\n bogus"),
+            GrammarLoadError,
+            "unknown nodetype directive 'bogus' (at path [0, 0])",
+            (0, 0),
+        ),
+        (lambda: load_grammar(""), GrammarLoadError, "empty root type set: no nodetype is marked root", ()),
+        (
+            lambda: apply_patch(parse("frobnicate"), parse("one")),
+            PatchFormatError,
+            "unknown operation 'frobnicate' (at patch path [0])",
+            (0,),
+        ),
+        (
+            lambda: apply_patch(parse("keep 1\ndescend"), parse("one")),
+            PatchMismatchError,
+            "descend overruns the sibling list (at path [1])",
+            (1,),
+        ),
+        (lambda: to_json_typed(parse("a\n frog")), DecodeError, "unknown tag 'frog' (at path [0, 0])", (0, 0)),
+        # A failing template's path is set after the error is built, and shows.
+        (
+            lambda: compile_doc(parse("pair a b\npair a"), load_grammar(_PAIR_GRAMMAR)),
+            CompileError,
+            "template placeholder {1} out of range for line 'pair a' (at path [1])",
+            (1,),
+        ),
+        (
+            lambda: compile_doc(parse("frog"), load_grammar(_PAIR_GRAMMAR)),
+            CompileError,
+            "document has 1 error(s); fix them before compiling",
+            (),
+        ),
+        # The empty document's error points at no node, so it has no suffix.
+        (lambda: to_json_typed(parse("")), DecodeError, "expected exactly one root node, got none", ()),
+        (lambda: TreeNode("a\nb"), InvalidLineError, "line may not contain a newline: 'a\\nb'", ()),
+        (lambda: parse("a").delete_node((5,)), PathNotFoundError, "no node at path (5,)", ()),
+        (lambda: from_json_untyped([1]), ConversionError, "untyped projection takes a JSON object at top level", ()),
+    ],
+    ids=[
+        "grammar-load", "grammar-load-no-node", "patch-format", "patch-mismatch", "decode", "compile-template",
+        "compile-refused", "decode-empty-document", "invalid-line", "path-not-found", "conversion",
+    ],
+)
+def test_every_error_ends_its_message_with_its_path(raise_it, error_type, message, path):
+    with pytest.raises(error_type) as info:
+        raise_it()
+    assert isinstance(info.value, TreeError)
+    assert (str(info.value), info.value.path) == (message, path)
+
+
+def test_tree_error_renders_its_path_when_shown():
+    error = TreeError("no luck")
+    assert (str(error), error.path, str(TreeError())) == ("no luck", (), "")
+    error.path = (2, 0)
+    assert str(error) == "no luck (at path [2, 0])"
+    assert str(PatchFormatError("bad op", (3,))) == "bad op (at patch path [3])"
