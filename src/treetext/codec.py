@@ -30,8 +30,9 @@ any depth that memory allows converts.
 
 Encoders raise ConversionError for values outside their domain (keys
 with spaces or newlines, non-finite numbers, values that contain
-themselves).  Decoders raise DecodeError, which carries a TlError
-locating the offending node; its ``path`` is the TlError's.
+themselves).  Decoders raise DecodeError, built as ``(message, path)``
+like every TreeError, so it pickles with its path; its ``error`` is the
+TlError locating the offending node.
 """
 
 from __future__ import annotations
@@ -75,11 +76,13 @@ class ConversionError(TreeError):
 
 
 class DecodeError(TreeError):
-    """A document does not conform to the dialect being decoded."""
+    """A document does not conform to the dialect being decoded.
 
-    def __init__(self, error: "TlError"):
-        super().__init__(error.message, error.path)
-        self.error = error
+    ``error`` is the TlError locating the offending node, or None for a
+    DecodeError built by hand.
+    """
+
+    error = None
 
 
 def _fail(path: NodePath, kind: str, message: str, suggestion=None) -> "DecodeError":
@@ -87,7 +90,9 @@ def _fail(path: NodePath, kind: str, message: str, suggestion=None) -> "DecodeEr
     # successful decode never need it.
     from treetext.grammar import TlError
 
-    return DecodeError(TlError(path, kind, message, suggestion))
+    exc = DecodeError(message, path)
+    exc.error = TlError(path, kind, message, suggestion)
+    return exc
 
 
 def _check_key(key) -> str:

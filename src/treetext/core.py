@@ -242,16 +242,10 @@ class TreeDocument:
         """Remove the node at ``path`` (and its subtree)."""
         if not path:
             raise PathNotFoundError("empty path does not name a node")
-        parent_children = self.roots
-        if len(path) > 1:
-            parent = self.get_node(path[:-1])
-            if parent is None:
-                raise PathNotFoundError(f"no node at path {path!r}")
-            parent_children = parent.children
-        index = path[-1]
-        if not 0 <= index < len(parent_children):
-            raise PathNotFoundError(f"no node at path {path!r}")
-        del parent_children[index]
+        if self.get_node(path) is None:
+            raise PathNotFoundError("no node", path)
+        parent = self.get_node(path[:-1])  # None for a root
+        del (parent.children if parent else self.roots)[path[-1]]
 
     def clone(self) -> "TreeDocument":
         """Deep copy, iteratively; documents can be deeper than the

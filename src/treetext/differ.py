@@ -217,12 +217,12 @@ def apply_patch(patch: TreeDocument, doc: TreeDocument) -> TreeDocument:
                         _doc_path(stack, i),
                     )
                 if kind == KEEP:
-                    out.extend(TreeDocument(source[i : i + count]).clone().roots)
+                    out.extend(source[i : i + count])
                 i += count
             elif kind == INSERT:
                 if op.content:
                     raise PatchFormatError("insert takes no words", _op_path(stack, k))
-                out.extend(TreeDocument(op.children).clone().roots)
+                out.extend(op.children)
             elif kind == DESCEND:
                 if op.content:
                     raise PatchFormatError("descend takes no words", _op_path(stack, k))
@@ -245,7 +245,9 @@ def apply_patch(patch: TreeDocument, doc: TreeDocument) -> TreeDocument:
             if stack:  # step the parent past the descend just finished
                 stack[-1][3] += 1
                 stack[-1][4] += 1
-    return result
+    # Kept and inserted runs hold doc's and the patch's own nodes up to
+    # here: one copy detaches them with one collector pause, as in diff.
+    return result.clone()
 
 
 def _doc_path(stack, i: int) -> NodePath:

@@ -1,6 +1,8 @@
 """Parser and serializer: totality, losslessness, tree building, editing."""
 
+import copy
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import WEB_STATS_TN
 from helpers import DEEP, chain, fuzz_string, reference_parse_lines, reference_walk_depth, spine
+import treetext
 from treetext import (
     INDENT,
     NEWLINE,
@@ -35,6 +38,7 @@ from treetext import (
     parse_parallel,
     serialize,
     to_json_typed,
+    to_map,
 )
 from treetext import core
 from treetext.core import _gc_paused, _walk_depth
@@ -598,6 +602,7 @@ _PAIR_GRAMMAR = "celltype any\n base any\nnodetype pair\n root\n catchAllCell an
             (1,),
         ),
         (lambda: to_json_typed(parse("a\n frog")), DecodeError, "unknown tag 'frog' (at path [0, 0])", (0, 0)),
+        (lambda: to_map(parse("a 1\na 2")), DecodeError, "duplicate key 'a' (at path [1])", (1,)),
         # A failing template's path is set after the error is built, and shows.
         (
             lambda: compile_doc(parse("pair a b\npair a"), load_grammar(_PAIR_GRAMMAR)),
@@ -614,12 +619,15 @@ _PAIR_GRAMMAR = "celltype any\n base any\nnodetype pair\n root\n catchAllCell an
         # The empty document's error points at no node, so it has no suffix.
         (lambda: to_json_typed(parse("")), DecodeError, "expected exactly one root node, got none", ()),
         (lambda: TreeNode("a\nb"), InvalidLineError, "line may not contain a newline: 'a\\nb'", ()),
-        (lambda: parse("a").delete_node((5,)), PathNotFoundError, "no node at path (5,)", ()),
+        (lambda: parse("a").delete_node((5,)), PathNotFoundError, "no node (at path [5])", (5,)),
+        (lambda: parse("a\n b").delete_node((0, 3)), PathNotFoundError, "no node (at path [0, 3])", (0, 3)),
+        (lambda: parse("a").delete_node(()), PathNotFoundError, "empty path does not name a node", ()),
         (lambda: from_json_untyped([1]), ConversionError, "untyped projection takes a JSON object at top level", ()),
     ],
     ids=[
-        "grammar-load", "grammar-load-no-node", "patch-format", "patch-mismatch", "decode", "compile-template",
-        "compile-refused", "decode-empty-document", "invalid-line", "path-not-found", "conversion",
+        "grammar-load", "grammar-load-no-node", "patch-format", "patch-mismatch", "decode", "decode-map",
+        "compile-template", "compile-refused", "decode-empty-document", "invalid-line", "path-not-found",
+        "path-not-found-nested", "path-empty", "conversion",
     ],
 )
 def test_every_error_ends_its_message_with_its_path(raise_it, error_type, message, path):
@@ -627,6 +635,12 @@ def test_every_error_ends_its_message_with_its_path(raise_it, error_type, messag
         raise_it()
     assert isinstance(info.value, TreeError)
     assert (str(info.value), info.value.path) == (message, path)
+    # A process pool pickles the error a worker raises, path and all.
+    for twin in (pickle.loads(pickle.dumps(info.value)), copy.deepcopy(info.value)):
+        assert type(twin) is error_type
+        assert (str(twin), twin.path) == (message, path)
+        for field in ("error", "errors"):
+            assert getattr(twin, field, None) == getattr(info.value, field, None)
 
 
 def test_tree_error_renders_its_path_when_shown():
@@ -635,3 +649,14 @@ def test_tree_error_renders_its_path_when_shown():
     error.path = (2, 0)
     assert str(error) == "no luck (at path [2, 0])"
     assert str(PatchFormatError("bad op", (3,))) == "bad op (at patch path [3])"
+
+
+def test_every_tree_error_is_built_from_a_message_and_a_path():
+    kinds = [getattr(treetext, name) for name in treetext.__all__ if name.endswith("Error") and name != "TlError"]
+    assert len(kinds) == 9 and all(issubclass(kind, TreeError) for kind in kinds)
+    for kind in kinds:
+        error = kind("bad", (1, 0))
+        where = "patch path" if kind is PatchFormatError else "path"
+        assert (str(error), error.path, error.args) == (f"bad (at {where} [1, 0])", (1, 0), ("bad",))
+    # A DecodeError built by hand locates no TlError.
+    assert DecodeError("bad").error is None

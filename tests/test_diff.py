@@ -17,6 +17,7 @@ from helpers import (
     spine,
 )
 from treetext import (
+    InvalidLineError,
     PatchFormatError,
     PatchMismatchError,
     TreeDocument,
@@ -80,6 +81,44 @@ def test_patches_and_results_share_no_nodes_with_their_inputs():
 
     assert ids(patch).isdisjoint(ids(a) | ids(b))
     assert ids(result).isdisjoint(ids(a) | ids(patch))
+
+
+def test_random_results_share_no_node_with_their_inputs():
+    def nodes(doc):
+        return [node for _, node in doc.walk()]
+
+    def ids(*docs):
+        return {id(node) for doc in docs for node in nodes(doc)}
+
+    def edit(doc):
+        for node in nodes(doc):
+            node.line += "!"
+            node.children.append(TreeNode("new"))
+
+    rng = random.Random(43)
+    for i in range(300):
+        a = random_document(rng)
+        b = mutate_document(rng, a) if i % 2 else random_document(rng)
+        patch = diff(a, b)
+        result = apply_patch(patch, a)
+        assert ids(patch).isdisjoint(ids(a, b))
+        assert ids(result).isdisjoint(ids(a, b, patch))
+        texts = [serialize(a), serialize(b), serialize(patch)]
+        edit(result)
+        assert [serialize(a), serialize(b), serialize(patch)] == texts
+        edit(patch)
+        assert [serialize(a), serialize(b)] == texts[:2]
+
+
+def test_apply_patch_checks_the_whole_patch_before_it_copies():
+    # A line set directly to text with a newline fails at the one copy,
+    # after the patch has been checked against the document.
+    doc = parse("one\ntwo")
+    doc.roots[0].line = "o\nne"
+    with pytest.raises(PatchMismatchError):
+        apply_patch(parse("keep 1\nkeep 5"), doc)
+    with pytest.raises(InvalidLineError):
+        apply_patch(parse("keep 2"), doc)
 
 
 def test_earliest_match_tie_break():
