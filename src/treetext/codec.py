@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Union
 
 from treetext.core import (
     ARITY_MISMATCH,
@@ -58,7 +57,7 @@ from treetext.core import (
     serialize,
 )
 
-JsonValue = Union[dict, list, str, int, float, bool, None]
+JsonValue = dict | list | str | int | float | bool | None
 
 TAGS = {"o": "object", "a": "array", "s": "string", "n": "number", "b": "boolean", "z": "null"}
 
@@ -242,74 +241,59 @@ def to_json_typed(doc: TreeDocument) -> JsonValue:
         if isinstance(container, list):
             container.append(value)
         elif key in container:
-            raise _fail(_path(stack), DUPLICATE_ROOT, f"duplicate key {key!r}")
+            raise _refuse(stack, DUPLICATE_ROOT, f"duplicate key {key!r}")
         else:
             container[key] = value
         frame[2] += 1
     return result[0]
 
 
-def _path(stack) -> NodePath:
-    return tuple(frame[2] for frame in stack)
+def _refuse(stack, kind: str, message: str, near: str = "", candidates=(), below: NodePath = ()) -> DecodeError:
+    """The DecodeError for the node the frames on ``stack`` are reading, or
+    for its descendant ``below``, suggesting the candidate nearest ``near``."""
+    from treetext.grammar import suggest
+
+    return _fail(tuple(frame[2] for frame in stack) + below, kind, message, suggest(near, candidates))
 
 
 def _decode(node: TreeNode, stack, keyed: bool):
     """Read one node's head: (key, value), with an empty value for o and a."""
     tag, sep, rest = node.line.partition(WORD_SEP)
     if keyed and not sep:
-        raise _fail(_path(stack), ARITY_MISMATCH, f"missing key after tag {tag!r} in object")
+        raise _refuse(stack, ARITY_MISMATCH, f"missing key after tag {tag!r} in object")
     key, _, rest = rest.partition(WORD_SEP) if keyed else (None, sep, rest)
     if tag not in TAGS:
-        from treetext.grammar import suggest
-
-        raise _fail(
-            _path(stack),
-            UNKNOWN_NODE_TYPE,
-            f"unknown tag {tag!r}",
-            suggestion=suggest(tag, TAGS),
-        )
+        raise _refuse(stack, UNKNOWN_NODE_TYPE, f"unknown tag {tag!r}", tag, TAGS)
     if tag in ("n", "b", "z") and node.children:
-        raise _fail(_path(stack) + (0,), ILLEGAL_CHILD, f"{TAGS[tag]} nodes do not take children")
-    if tag in ("o", "a"):
+        raise _refuse(stack, ILLEGAL_CHILD, f"{TAGS[tag]} nodes do not take children", below=(0,))
+    if tag in ("o", "a", "z"):
         if rest:
-            raise _fail(_path(stack), ARITY_MISMATCH, f"{TAGS[tag]} node takes no words after the key, got {rest!r}")
-        return key, {} if tag == "o" else []
+            takes = "value" if tag == "z" else "words after the key"
+            raise _refuse(stack, ARITY_MISMATCH, f"{TAGS[tag]} node takes no {takes}, got {rest!r}")
+        return key, {} if tag == "o" else [] if tag == "a" else None
     if tag == "s":
         if node.children:
             if rest:
-                raise _fail(_path(stack), CELL_TYPE_MISMATCH, "string node has both inline text and child lines")
+                raise _refuse(stack, CELL_TYPE_MISMATCH, "string node has both inline text and child lines")
             return key, serialize(TreeDocument(node.children))
         return key, rest
-    if tag == "n":
-        if rest == "":
-            raise _fail(_path(stack), ARITY_MISMATCH, "number node is missing its value")
-        if WORD_SEP in rest or _JSON_NUMBER.fullmatch(rest) is None:
-            raise _fail(_path(stack), CELL_TYPE_MISMATCH, f"{rest!r} is not a JSON number")
-        try:
-            number = json.loads(rest)
-        except ValueError:  # past the interpreter's int-to-string digit limit
-            message = f"number literal of {len(rest)} characters is too long to read"
-            raise _fail(_path(stack), CELL_TYPE_MISMATCH, message) from None
-        if isinstance(number, float) and math.isinf(number):
-            raise _fail(_path(stack), CELL_TYPE_MISMATCH, f"{rest!r} overflows to infinity")
-        return key, number
+    if rest == "":
+        raise _refuse(stack, ARITY_MISMATCH, f"{TAGS[tag]} node is missing its value")
     if tag == "b":
-        if rest == "":
-            raise _fail(_path(stack), ARITY_MISMATCH, "boolean node is missing its value")
         if rest not in ("true", "false"):
-            from treetext.grammar import suggest
-
-            raise _fail(
-                _path(stack),
-                CELL_TYPE_MISMATCH,
-                f"{rest!r} is not a boolean",
-                suggestion=suggest(rest, ["false", "true"]),
-            )
+            raise _refuse(stack, CELL_TYPE_MISMATCH, f"{rest!r} is not a boolean", rest, ("false", "true"))
         return key, rest == "true"
-    # z
-    if rest:
-        raise _fail(_path(stack), ARITY_MISMATCH, f"null node takes no value, got {rest!r}")
-    return key, None
+    # n
+    if WORD_SEP in rest or _JSON_NUMBER.fullmatch(rest) is None:
+        raise _refuse(stack, CELL_TYPE_MISMATCH, f"{rest!r} is not a JSON number")
+    try:
+        number = json.loads(rest)
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        message = f"number literal of {len(rest)} characters is too long to read"
+        raise _refuse(stack, CELL_TYPE_MISMATCH, message) from None
+    if isinstance(number, float) and math.isinf(number):
+        raise _refuse(stack, CELL_TYPE_MISMATCH, f"{rest!r} overflows to infinity")
+    return key, number
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from __future__ import annotations
 import gc
 import os
 from _thread import allocate_lock
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import repeat
 from operator import sub
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 NEWLINE = "\n"  # separates nodes vertically; never legal inside a line
 INDENT = " "    # one space per depth level
@@ -127,7 +127,7 @@ class TreeNode:
 
     __slots__ = ("line", "children")
 
-    def __init__(self, line: str = "", children: Optional[Iterable["TreeNode"]] = None):
+    def __init__(self, line: str = "", children: Iterable[TreeNode] | None = None):
         if NEWLINE in line:  # _check_line's test, inlined: one call less per node built
             _check_line(line)
         self.line = line
@@ -198,14 +198,14 @@ class TreeDocument:
 
     __slots__ = ("roots",)
 
-    def __init__(self, roots: Optional[Iterable[TreeNode]] = None):
+    def __init__(self, roots: Iterable[TreeNode] | None = None):
         self.roots: list[TreeNode] = list(roots) if roots is not None else []
 
     # -- access ------------------------------------------------------------
 
-    def get_node(self, path: NodePath) -> Optional[TreeNode]:
+    def get_node(self, path: NodePath) -> TreeNode | None:
         """Resolve a path of child indices; None if absent or empty."""
-        node: Optional[TreeNode] = None
+        node: TreeNode | None = None
         siblings = self.roots
         for index in path:
             if not 0 <= index < len(siblings):
@@ -372,12 +372,12 @@ def _parse_lines(lines: list[str]) -> list[TreeNode]:
     return roots
 
 
-def serialize(doc: Union[TreeDocument, TreeNode]) -> str:
+def serialize(doc: TreeDocument | TreeNode) -> str:
     """Render a document (or a single subtree) back to text."""
     return doc.serialize()
 
 
-def parse_parallel(text: str, max_workers: Optional[int] = None) -> TreeDocument:
+def parse_parallel(text: str, max_workers: int | None = None) -> TreeDocument:
     """Parse top-level blocks concurrently; result equals ``parse(text)``.
 
     Every line with zero leading spaces starts a depth-0 node, so the
@@ -396,7 +396,7 @@ def parse_parallel(text: str, max_workers: Optional[int] = None) -> TreeDocument
     ))
 
 
-def _map_blocks(fn: Callable[[int, int], list], starts: Sequence[int], end: int, max_workers: Optional[int]) -> list:
+def _map_blocks(fn: Callable[[int, int], list], starts: Sequence[int], end: int, max_workers: int | None) -> list:
     """Map ``fn(lo, hi)`` over one contiguous run of blocks per worker.
 
     ``starts`` holds the ascending first indices of independent blocks

@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterable
 from itertools import repeat
 from operator import attrgetter
-from typing import Iterable, Optional
 
 from treetext.core import (
     ARITY_MISMATCH,
     CELL_TYPE_MISMATCH,
-    DUPLICATE_ROOT,  # unused here; the error kinds are still importable from this module
     ILLEGAL_CHILD,
     NEWLINE,
     UNKNOWN_NODE_TYPE,
@@ -82,16 +81,26 @@ CELL_BASES = tuple(_BASE_TESTS)
 
 
 class _Record:
-    """A value compared, shown and pickled by the ``_fields`` its constructor takes, in order.
+    """A frozen value: compared, hashed, shown and pickled by the ``_fields``
+    its constructor takes, in order.
 
-    Each subclass sets ``_values = attrgetter(*_fields)``; an attrgetter does
-    not bind, so it is called as ``self._values(self)``.
+    The constructor sets every slot once, through ``_set_fields``; past it,
+    assigning or deleting a field raises AttributeError.  Each subclass sets
+    ``_values = attrgetter(*_fields)``; an attrgetter does not bind, so it is
+    called as ``self._values(self)``.
     """
 
     __slots__ = ("__weakref__",)
 
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)  # past this class's __setattr__
+
     def __eq__(self, other):
         return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -100,19 +109,6 @@ class _Record:
     def __reduce__(self):
         return type(self), self._values(self)
 
-
-class _FrozenRecord(_Record):
-    """A record whose fields are set once, by its constructor; it hashes by value."""
-
-    __slots__ = ()
-
-    def _set_fields(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)  # past this class's __setattr__
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -120,13 +116,13 @@ class _FrozenRecord(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class TlError(_FrozenRecord):
+class TlError(_Record):
     """One language-level error, locatable in the checked document."""
 
     __slots__ = _fields = __match_args__ = ("path", "kind", "message", "suggestion")
     _values = attrgetter(*_fields)
 
-    def __init__(self, path: NodePath, kind: str, message: str, suggestion: Optional[str] = None):
+    def __init__(self, path: NodePath, kind: str, message: str, suggestion: str | None = None):
         self._set_fields(path, kind, message, suggestion)
 
 
@@ -135,19 +131,21 @@ class GrammarLoadError(TreeError):
 
 
 class CompileError(TreeError):
-    """Compilation refused or failed; ``errors`` holds pending check errors."""
+    """Compilation refused or failed; ``errors`` holds pending check errors.
 
-    def __init__(self, message: str, path: NodePath = (), errors: "tuple[TlError, ...]" = ()):
-        super().__init__(message, path)
-        self.errors = errors
+    ``compile_doc`` attaches them to the error it raises for a document that
+    does not check clean; any other CompileError holds none.
+    """
+
+    errors: "tuple[TlError, ...]" = ()
 
 
-class CellTypeDef(_FrozenRecord):
+class CellTypeDef(_Record):
     __slots__ = _fields = __match_args__ = ("name", "base", "enum_values", "pattern")
     _values = attrgetter(*_fields)
 
-    def __init__(self, name: str, base: str = "any", enum_values: Optional[frozenset] = None,
-                 pattern: Optional["re.Pattern[str]"] = None):
+    def __init__(self, name: str, base: str = "any", enum_values: frozenset | None = None,
+                 pattern: "re.Pattern[str] | None" = None):
         self._set_fields(name, base, enum_values, pattern)
 
     def accepts(self, word: str) -> bool:
@@ -167,16 +165,20 @@ class NodeTypeDef(_Record):
     )
     _values = attrgetter(*_fields)
 
-    def __init__(self, name: str, match: str, cells: "tuple[str, ...]" = (), catch_all_cell: Optional[str] = None,
-                 child_types: "tuple[str, ...]" = (), catch_all_child: Optional[str] = None,
-                 is_root: bool = False, is_root_catch_all: bool = False, template: Optional[str] = None):
-        self.name, self.match, self.cells, self.catch_all_cell = name, match, cells, catch_all_cell
-        self.child_types, self.catch_all_child, self.template = child_types, catch_all_child, template
-        self.is_root, self.is_root_catch_all = is_root, is_root_catch_all
+    def __init__(self, name: str, match: str, cells: "tuple[str, ...]" = (), catch_all_cell: str | None = None,
+                 child_types: "tuple[str, ...]" = (), catch_all_child: str | None = None,
+                 is_root: bool = False, is_root_catch_all: bool = False, template: str | None = None):
+        self._set_fields(name, match, cells, catch_all_cell, child_types, catch_all_child, is_root,
+                         is_root_catch_all, template)
 
 
 class Grammar(_Record):
-    """An immutable (after load) tree-language definition."""
+    """A tree-language definition.
+
+    It reads ``node_types`` and ``cell_types`` once, when it is built, so
+    to change one, build a new Grammar.  Its fields hold dicts, so it does
+    not hash.
+    """
 
     _fields = __match_args__ = ("name", "node_types", "cell_types", "root_types", "root_catch_all")
     _values = attrgetter(*_fields)
@@ -189,15 +191,14 @@ class Grammar(_Record):
     # of these is an illegal child.
     __slots__ = (*_fields, "_contexts", "_match_words")
 
-    def __init__(self, name: str = "", node_types: "Optional[dict[str, NodeTypeDef]]" = None,
-                 cell_types: "Optional[dict[str, CellTypeDef]]" = None, root_types: "tuple[str, ...]" = (),
-                 root_catch_all: Optional[str] = None):
+    def __init__(self, name: str = "", node_types: "dict[str, NodeTypeDef] | None" = None,
+                 cell_types: "dict[str, CellTypeDef] | None" = None, root_types: "tuple[str, ...]" = (),
+                 root_catch_all: str | None = None):
         types = {} if node_types is None else node_types
-        self.name, self.node_types, self.root_types, self.root_catch_all = name, types, root_types, root_catch_all
-        self.cell_types = {} if cell_types is None else cell_types
-        self._match_words = frozenset(nt.match for nt in types.values())
-        self._contexts = {nt.name: _context(types, nt.child_types, nt.catch_all_child) for nt in types.values()}
-        self._contexts[None] = _context(types, [n for n in root_types if n != root_catch_all], root_catch_all)
+        contexts = {nt.name: _context(types, nt.child_types, nt.catch_all_child) for nt in types.values()}
+        contexts[None] = _context(types, [n for n in root_types if n != root_catch_all], root_catch_all)
+        self._set_fields(name, types, {} if cell_types is None else cell_types, root_types, root_catch_all,
+                         contexts, frozenset(nt.match for nt in types.values()))
 
 
 def _context(types, names, catch_all):
@@ -277,7 +278,7 @@ _BLOCKS = {
 
 def load_grammar(text: str) -> Grammar:
     """Parse and validate a grammar file. Raises GrammarLoadError."""
-    name: Optional[str] = None
+    name: str | None = None
     defs: "dict[str, dict]" = {keyword: {} for keyword in _BLOCKS}
     refs: "list[tuple[NodePath, str, str]]" = []  # (path, block keyword, name)
     for i, block in enumerate(parse(text).roots):
@@ -342,7 +343,7 @@ def check(doc: TreeDocument, grammar: Grammar) -> "list[TlError]":
     return _check_roots(doc.roots, 0, len(doc.roots), grammar)
 
 
-def check_parallel(doc: TreeDocument, grammar: Grammar, max_workers: Optional[int] = None) -> "list[TlError]":
+def check_parallel(doc: TreeDocument, grammar: Grammar, max_workers: int | None = None) -> "list[TlError]":
     """Check depth-0 subtrees concurrently; result equals ``check``.
 
     Each worker checks one contiguous run of depth-0 subtrees.  Under
@@ -469,7 +470,7 @@ def levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
-def suggest(word: str, candidates: "Iterable[str]") -> Optional[str]:
+def suggest(word: str, candidates: "Iterable[str]") -> str | None:
     """Nearest candidate within two edits; ties go alphabetically."""
     best = None
     best_distance = _SUGGEST_MAX_DISTANCE + 1
@@ -511,10 +512,9 @@ def compile_doc(doc: TreeDocument, grammar: Grammar) -> str:
     errors: "list[TlError]" = []
     typed = list(_typed_walk(doc.roots, 0, len(doc.roots), grammar, errors))
     if errors:
-        raise CompileError(
-            f"document has {len(errors)} error(s); fix them before compiling",
-            errors=tuple(errors),
-        )
+        exc = CompileError(f"document has {len(errors)} error(s); fix them before compiling")
+        exc.errors = tuple(errors)
+        raise exc
     # One frame (node, node_type, rendered children) per open node, over a
     # sentinel frame whose list collects the roots' output.  The invariant:
     # the open frames are the ancestors of the next node to render, and each

@@ -27,12 +27,11 @@ from treetext.codec import (
     _scalar_text,
     _tag_for,
 )
-from treetext.core import INDENT, NEWLINE, WORD_SEP, NodePath, TreeDocument, TreeNode, parse, serialize
+from treetext.core import DUPLICATE_ROOT, INDENT, NEWLINE, WORD_SEP, NodePath, TreeDocument, TreeNode, parse, serialize
 from treetext.grammar import (
     ARITY_MISMATCH,
     CELL_BASES,
     CELL_TYPE_MISMATCH,
-    DUPLICATE_ROOT,
     ILLEGAL_CHILD,
     UNKNOWN_NODE_TYPE,
     CellTypeDef,
@@ -543,10 +542,9 @@ def reference_compile_doc(doc: TreeDocument, grammar: Grammar) -> str:
     errors: "list[TlError]" = []
     typed = list(_typed_walk(doc.roots, 0, len(doc.roots), grammar, errors))
     if errors:
-        raise CompileError(
-            f"document has {len(errors)} error(s); fix them before compiling",
-            errors=tuple(errors),
-        )
+        exc = CompileError(f"document has {len(errors)} error(s); fix them before compiling")
+        exc.errors = tuple(errors)
+        raise exc
     # A node renders once all its children have (post-order), so its
     # rendered children are the tail of ``rendered`` from ``cut`` on.
     waiting: "list[tuple[TreeNode, NodeTypeDef, int]]" = []  # (node, node_type, cut)
@@ -642,39 +640,39 @@ def _reference_word_list(node: TreeNode, path: NodePath) -> "tuple[str, ...]":
 
 
 def _reference_node_type(name, block, path, pending_refs) -> NodeTypeDef:
-    nt = NodeTypeDef(name=name, match=name)
+    # A NodeTypeDef is frozen: gather its fields, then build it once.
+    fields = {"name": name, "match": name}
     for j, directive in enumerate(block.children):
         dpath = path + (j,)
         if directive.children:
             raise GrammarLoadError("directives take no children", dpath)
         keyword = directive.first_word
         if keyword == "match":
-            nt.match = _reference_single_word(directive, dpath)
+            fields["match"] = _reference_single_word(directive, dpath)
         elif keyword == "cells":
-            nt.cells = _reference_word_list(directive, dpath)
-            pending_refs.extend((dpath, "cell", c) for c in nt.cells)
+            fields["cells"] = cells = _reference_word_list(directive, dpath)
+            pending_refs.extend((dpath, "cell", c) for c in cells)
         elif keyword == "catchAllCell":
-            nt.catch_all_cell = _reference_single_word(directive, dpath)
-            pending_refs.append((dpath, "cell", nt.catch_all_cell))
+            fields["catch_all_cell"] = cell = _reference_single_word(directive, dpath)
+            pending_refs.append((dpath, "cell", cell))
         elif keyword == "children":
-            nt.child_types = _reference_word_list(directive, dpath)
-            pending_refs.extend((dpath, "node", c) for c in nt.child_types)
+            fields["child_types"] = child_types = _reference_word_list(directive, dpath)
+            pending_refs.extend((dpath, "node", c) for c in child_types)
         elif keyword == "catchAllChild":
-            nt.catch_all_child = _reference_single_word(directive, dpath)
-            pending_refs.append((dpath, "node", nt.catch_all_child))
+            fields["catch_all_child"] = child = _reference_single_word(directive, dpath)
+            pending_refs.append((dpath, "node", child))
         elif keyword == "root":
             if directive.content == "":
-                nt.is_root = True
+                fields["is_root"] = True
             elif directive.content == "catchall":
-                nt.is_root = True
-                nt.is_root_catch_all = True
+                fields["is_root"] = fields["is_root_catch_all"] = True
             else:
                 raise GrammarLoadError("root takes nothing or 'catchall'", dpath)
         elif keyword == "compile":
-            nt.template = directive.content
+            fields["template"] = directive.content
         else:
             raise GrammarLoadError(f"unknown nodetype directive {keyword!r}", dpath)
-    return nt
+    return NodeTypeDef(**fields)
 
 
 def _reference_cell_type(name, block, path) -> CellTypeDef:

@@ -398,11 +398,11 @@ def test_stdin_named_twice_is_a_usage_error(argv):
 # start-up: what each command imports, and the lazy package namespace
 
 
-def _loaded_by(code: str, modules: "set[str]") -> "list[str]":
-    """Run ``code`` in a fresh interpreter; return which of ``modules`` it loaded."""
+def _loaded_by(code: str, modules: "set[str]", *flags: str) -> "list[str]":
+    """Run ``code`` in a fresh interpreter started with ``flags``; return which of ``modules`` it loaded."""
     code += f"\nimport sys\nprint(*sorted({modules!r} & set(sys.modules)), file=sys.stderr)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(treetext.__file__))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stderr.split()
 
@@ -428,14 +428,27 @@ def test_grammar_commands_load_neither_dataclasses_nor_inspect(write):
     # The grammar value types are plain slotted classes, and a bundled
     # grammar is read as a plain file (importlib.resources imports inspect
     # on Python 3.12 and later), so checking, compiling and reporting a
-    # decode error skip both modules' import.
+    # decode error skip both modules' import.  check and compile load
+    # neither json nor a thread pool either; to-json writes JSON, so it
+    # loads json.
     good, bad = write("p.tn", POINT_JSONTL), write("bad.tn", "o\n sx dsl yrt")
-    code = "import contextlib, io\nimport treetext.grammar\nfrom treetext.cli import main\n"
+    code = "import treetext.grammar\nfrom treetext.cli import main\n"
+    code += f"assert main(['check', {bad!r}, '--grammar', 'jsontl']) == 0\n"
+    code += f"assert main(['check', {bad!r}, '--grammar', 'jsontl', '--fix']) == 0\n"
+    code += f"assert main(['compile', {good!r}, '--grammar', 'jsontl']) == 0"
+    assert _loaded_by(code, {"dataclasses", "inspect", "json", "concurrent.futures"}) == []
+    code = "import contextlib, io\nfrom treetext.cli import main\n"
     code += "with contextlib.redirect_stderr(io.StringIO()):  # to-json's error line\n"
-    code += f"    assert main(['check', {bad!r}, '--grammar', 'jsontl']) == 0\n"
-    code += f"    assert main(['compile', {good!r}, '--grammar', 'jsontl']) == 0\n"
     code += f"    assert main(['to-json', {bad!r}]) == 1"
-    assert _loaded_by(code, {"dataclasses", "inspect"}) == []
+    assert _loaded_by(code, {"dataclasses", "inspect", "concurrent.futures"}) == []
+
+
+def test_no_module_imports_typing():
+    # The annotations are strings (from __future__ import annotations), so
+    # no module needs typing at run time.  -S skips site, which may import
+    # typing itself, for example through a .pth file.
+    code = "import treetext.cli, treetext.codec, treetext.differ, treetext.grammar"
+    assert _loaded_by(code, {"typing"}, "-S") == []
 
 
 PUBLIC_NAMES = [

@@ -658,5 +658,9 @@ def test_every_tree_error_is_built_from_a_message_and_a_path():
         error = kind("bad", (1, 0))
         where = "patch path" if kind is PatchFormatError else "path"
         assert (str(error), error.path, error.args) == (f"bad (at {where} [1, 0])", (1, 0), ("bad",))
-    # A DecodeError built by hand locates no TlError.
+    # No subclass builds itself another way: the decoders attach a DecodeError's
+    # TlError, and compile_doc a CompileError's check errors, after building it.
+    assert all(kind is TreeError or "__init__" not in vars(kind) for kind in kinds)
+    # A DecodeError built by hand locates no TlError, and a CompileError holds no check errors.
     assert DecodeError("bad").error is None
+    assert CompileError("bad").errors == ()

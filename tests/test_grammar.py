@@ -873,19 +873,40 @@ def test_frozen_value_types_hash_and_refuse_changes():
 
 
 def test_mutable_value_types_do_not_hash(jsontl):
-    node = NodeTypeDef("a", "a")
-    for value in (node, jsontl):
-        with pytest.raises(TypeError):
-            hash(value)
-    node.match = "b"  # the reference loader in tests/helpers.py builds node types in place
-    assert node == NodeTypeDef("a", "b")
+    # A Grammar's fields hold dicts, so it alone does not hash; a NodeTypeDef
+    # is frozen like TlError and CellTypeDef and hashes by value.
+    with pytest.raises(TypeError):
+        hash(jsontl)
+    assert hash(NodeTypeDef("a", "a")) == hash(NodeTypeDef("a", "a", (), None, (), None, False, False, None))
+    assert len({NodeTypeDef("a", "a"), NodeTypeDef("a", "a"), NodeTypeDef("a", "b")}) == 2
     assert Grammar().node_types is not Grammar().node_types
+
+
+@pytest.mark.parametrize("cls, fields, values, defaults", _value_type_cases())
+def test_value_types_refuse_changes_to_every_field(cls, fields, values, defaults):
+    value = cls(*values)
+    for name in cls.__slots__:  # the fields, and a Grammar's derived tables
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in fields) == values
+
+
+def test_a_grammar_changes_only_by_building_a_new_one(jsontl):
+    # A Grammar reads its fields once, when it is built, into the tables check() uses.
+    with pytest.raises(AttributeError):
+        jsontl.root_types = ("obj",)
+    assert check(parse("n 1"), jsontl) == []
+    narrowed = Grammar(jsontl.name, jsontl.node_types, jsontl.cell_types, ("obj",), jsontl.root_catch_all)
+    assert [error.kind for error in check(parse("n 1"), narrowed)] == ["illegalChild"]
 
 
 def test_grammar_equality_and_repr_ignore_its_derived_tables():
     text = builtin_grammar_text("maptl")
     first, second = load_grammar(text), load_grammar(text)
-    second._contexts, second._match_words = {}, frozenset()
+    object.__setattr__(second, "_contexts", {})
+    object.__setattr__(second, "_match_words", frozenset())
     assert first == second and repr(first) == repr(second)
     assert "_contexts" not in repr(first) and "_match_words" not in repr(first)
 
