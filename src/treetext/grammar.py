@@ -175,30 +175,35 @@ class NodeTypeDef(_Record):
 class Grammar(_Record):
     """A tree-language definition.
 
-    It reads ``node_types`` and ``cell_types`` once, when it is built, so
-    to change one, build a new Grammar.  Its fields hold dicts, so it does
-    not hash.
+    Its roots are the node types marked ``is_root``, and the first node
+    type marked ``is_root_catch_all`` matches any other first word at
+    depth 0.  It reads ``node_types`` and ``cell_types`` once, when it is
+    built, so to change one, build a new Grammar.  Its fields hold dicts,
+    so it does not hash.
     """
 
-    _fields = __match_args__ = ("name", "node_types", "cell_types", "root_types", "root_catch_all")
+    _fields = __match_args__ = ("name", "node_types", "cell_types")
     _values = attrgetter(*_fields)
-    # Two tables derived from the fields, outside ``==`` and ``repr``.
-    # ``_contexts`` holds one (table, catch_all) pair per context, keyed by
-    # the parent node type's name; the key None holds the depth-0 context.
-    # ``table`` maps each match word to the first node type declared with
-    # it, and a node resolves with ``table.get(first_word, catch_all)``.
-    # ``_match_words`` holds every match word; an unresolved node with one
-    # of these is an illegal child.
-    __slots__ = (*_fields, "_contexts", "_match_words")
+    # Three tables derived from the fields, outside ``==`` and ``repr``.  A
+    # context is a (table, catch_all) pair: ``table`` maps each match word
+    # to the first node type listed with it, and a node resolves with
+    # ``table.get(first_word, catch_all)``.  ``_root`` is the depth-0
+    # context.  ``_resolved`` maps each node type's name to the context its
+    # children resolve in, its cells as CellTypeDefs, and its catch-all cell
+    # or None.  ``_match_words`` holds every match word; an unresolved
+    # node with one of these is an illegal child.
+    __slots__ = (*_fields, "_root", "_resolved", "_match_words")
 
     def __init__(self, name: str = "", node_types: "dict[str, NodeTypeDef] | None" = None,
-                 cell_types: "dict[str, CellTypeDef] | None" = None, root_types: "tuple[str, ...]" = (),
-                 root_catch_all: str | None = None):
+                 cell_types: "dict[str, CellTypeDef] | None" = None):
         types = {} if node_types is None else node_types
-        contexts = {nt.name: _context(types, nt.child_types, nt.catch_all_child) for nt in types.values()}
-        contexts[None] = _context(types, [n for n in root_types if n != root_catch_all], root_catch_all)
-        self._set_fields(name, types, {} if cell_types is None else cell_types, root_types, root_catch_all,
-                         contexts, frozenset(nt.match for nt in types.values()))
+        cells = {} if cell_types is None else cell_types
+        catch_all = next((n for n, nt in types.items() if nt.is_root_catch_all), None)
+        root = _context(types, [n for n, nt in types.items() if nt.is_root and n != catch_all], catch_all)
+        resolved = {nt.name: (_context(types, nt.child_types, nt.catch_all_child), tuple(cells[c] for c in nt.cells),
+                              None if nt.catch_all_cell is None else cells[nt.catch_all_cell])
+                    for nt in types.values()}
+        self._set_fields(name, types, cells, root, resolved, frozenset(nt.match for nt in types.values()))
 
 
 def _context(types, names, catch_all):
@@ -319,14 +324,11 @@ def load_grammar(text: str) -> Grammar:
         if ref not in defs[keyword]:
             raise GrammarLoadError(f"reference to unknown {keyword} {ref!r}", path)
 
-    node_types, cell_types = defs["nodetype"], defs["celltype"]
-    root_types = tuple(n for n, nt in node_types.items() if nt.is_root)
-    catch_all_roots = [n for n, nt in node_types.items() if nt.is_root_catch_all]
-    if len(catch_all_roots) > 1:
+    if sum(nt.is_root_catch_all for nt in defs["nodetype"].values()) > 1:
         raise GrammarLoadError("more than one catch-all root nodetype")
-    if not root_types:
+    if not any(nt.is_root for nt in defs["nodetype"].values()):
         raise GrammarLoadError("empty root type set: no nodetype is marked root")
-    return Grammar(name or "", node_types, cell_types, root_types, next(iter(catch_all_roots), None))
+    return Grammar(name or "", defs["nodetype"], defs["celltype"])
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +375,19 @@ def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
     without one is an unknownNodeType error, and arity and cell types go
     unchecked.
     """
-    contexts = grammar._contexts
+    resolved = grammar._resolved
     # One path list, as in TreeDocument.walk; a tuple is built only for an error.
     path = [lo - 1]
-    # (node, depth, parent node type's name or None at depth 0); children
-    # are pushed last-first so nodes come out in document pre-order.
-    stack = [(roots[i], 0, None) for i in reversed(range(lo, hi))]
+    # (node, depth, the context it resolves in); children are pushed
+    # last-first so nodes come out in document pre-order.
+    stack = [(roots[i], 0, grammar._root) for i in reversed(range(lo, hi))]
     while stack:
-        node, depth, parent = stack.pop()
+        node, depth, (table, catch_all) = stack.pop()
         if depth < len(path):
             del path[depth + 1:]
             path[depth] += 1
         else:
             path.append(0)
-        table, catch_all = contexts[parent]
         words = node.line.split(WORD_SEP)
         first = words[0]
         node_type = table.get(first, catch_all)
@@ -401,10 +402,10 @@ def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
             node.set_line(suggestion + node.line[len(first):])
             node_type = table[suggestion]
 
+        context, cells, extra = resolved[node_type.name]
         if not fix:  # autofix discards arity and cell errors: build none
             values = words[1:]
-            cells = node_type.cells
-            if len(values) < len(cells) or (len(values) > len(cells) and node_type.catch_all_cell is None):
+            if len(values) < len(cells) or (len(values) > len(cells) and extra is None):
                 errors.append(
                     TlError(
                         tuple(path),
@@ -414,12 +415,11 @@ def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
                 )
             for i, value in enumerate(values):
                 if i < len(cells):
-                    cell_name = cells[i]
-                elif node_type.catch_all_cell is not None:
-                    cell_name = node_type.catch_all_cell
+                    cell = cells[i]
+                elif extra is not None:
+                    cell = extra
                 else:
                     break
-                cell = grammar.cell_types[cell_name]
                 if not cell.accepts(value):
                     suggestion = None
                     if cell.enum_values is not None:
@@ -442,7 +442,7 @@ def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
             prefix = tuple(path)
             errors.extend(TlError(prefix + (j,), ILLEGAL_CHILD, message) for j in range(len(children)))
             continue
-        stack.extend(zip(reversed(children), repeat(depth + 1), repeat(node_type.name)))
+        stack.extend(zip(reversed(children), repeat(depth + 1), repeat(context)))
 
 
 # ---------------------------------------------------------------------------

@@ -471,13 +471,34 @@ def _reference_accepts(cell, word: str) -> bool:
     return True
 
 
+def reference_contexts(grammar) -> dict:
+    """Every context a node can resolve in, read from the grammar's public
+    fields: one ``(table, catch_all)`` pair per node type, keyed by its
+    name, for its children, and the key None for depth 0.  ``table`` maps
+    each match word to the first node type listed with it."""
+
+    def context(names, catch_all):
+        table = {}
+        for name in names:
+            table.setdefault(grammar.node_types[name].match, grammar.node_types[name])
+        return table, grammar.node_types[catch_all] if catch_all else None
+
+    contexts = {nt.name: context(nt.child_types, nt.catch_all_child) for nt in grammar.node_types.values()}
+    catch_alls = [n for n, nt in grammar.node_types.items() if nt.is_root_catch_all]
+    catch_all = catch_alls[0] if catch_alls else None
+    roots = [n for n, nt in grammar.node_types.items() if nt.is_root and n != catch_all]
+    contexts[None] = context(roots, catch_all)
+    return contexts
+
+
 def reference_check(doc: TreeDocument, grammar) -> "list[TlError]":
     """``treetext.grammar.check`` as it was before autofix became a mode of
     the typed walk, with cell bases tested by an if-chain.  Kept as a
     reference for ``check`` and ``check_parallel``."""
     roots = doc.roots
     errors: "list[TlError]" = []
-    contexts = grammar._contexts
+    contexts = reference_contexts(grammar)
+    match_words = {nt.match for nt in grammar.node_types.values()}
     path = [-1]
     stack = [(roots[i], 0, None) for i in reversed(range(len(roots)))]
     while stack:
@@ -491,7 +512,7 @@ def reference_check(doc: TreeDocument, grammar) -> "list[TlError]":
         first = node.first_word
         node_type = table.get(first, catch_all)
         if node_type is None:
-            if first in grammar._match_words:
+            if first in match_words:
                 errors.append(TlError(tuple(path), ILLEGAL_CHILD, f"node type {first!r} is not allowed here"))
             else:
                 message = f"unknown node type {first!r}"
@@ -621,8 +642,7 @@ def reference_load_grammar(text: str) -> Grammar:
         raise GrammarLoadError("more than one catch-all root nodetype")
     if not root_types:
         raise GrammarLoadError("empty root type set: no nodetype is marked root")
-    root_catch_all = catch_all_roots[0] if catch_all_roots else None
-    return Grammar(name or "", node_types, cell_types, root_types, root_catch_all)
+    return Grammar(name or "", node_types, cell_types)
 
 
 def _reference_single_word(node: TreeNode, path: NodePath, noun: str = "value") -> str:

@@ -19,6 +19,7 @@ from helpers import (
     random_json,
     reference_check,
     reference_compile_doc,
+    reference_contexts,
     reference_load_grammar,
     spine,
 )
@@ -72,15 +73,14 @@ def test_jsontl_fixture_loads(jsontl):
     assert len(jsontl.node_types) == 12
     assert len(jsontl.cell_types) == 4
     assert sorted({nt.match for nt in jsontl.node_types.values()}) == list("abnosz")
-    assert jsontl.root_catch_all is None
-    assert len(jsontl.root_types) == 6
+    assert [n for n, nt in jsontl.node_types.items() if nt.is_root] == ["obj", "arr", "str", "num", "bool", "null"]
+    assert not any(nt.is_root_catch_all for nt in jsontl.node_types.values())
 
 
 def test_maptl_fixture_loads(maptl):
     assert maptl.name == "maptl"
     assert len(maptl.node_types) == 1
-    assert maptl.root_catch_all == "entry"
-    assert maptl.root_types == ("entry",)
+    assert maptl.node_types["entry"].is_root and maptl.node_types["entry"].is_root_catch_all
 
 
 def test_match_defaults_to_nodetype_name():
@@ -670,12 +670,13 @@ _TEMPLATE_GRAMMARS = (
 
 def _match_word_tree(rng, grammar, max_depth=6):
     # Mostly match words legal where they stand, each with 0-3 words after it.
-    everywhere = sorted(grammar._match_words)
+    contexts = reference_contexts(grammar)
+    everywhere = sorted({nt.match for nt in grammar.node_types.values()})
     doc = TreeDocument()
     stack = [(doc.roots, None, 0)]
     while stack:
         siblings, parent, depth = stack.pop()
-        table, catch_all = grammar._contexts[parent]
+        table, catch_all = contexts[parent]
         legal = sorted(table) + ([catch_all.match] if catch_all else [])
         for _ in range(rng.randrange(0 if depth == 0 else 1, 4)):
             first = rng.choice(everywhere if rng.random() < 0.03 else legal)
@@ -813,7 +814,7 @@ _NODE_FIELDS = (
     "name", "match", "cells", "catch_all_cell", "child_types", "catch_all_child", "is_root",
     "is_root_catch_all", "template",
 )
-_GRAMMAR_FIELDS = ("name", "node_types", "cell_types", "root_types", "root_catch_all")
+_GRAMMAR_FIELDS = ("name", "node_types", "cell_types")
 
 
 def _value_type_cases():
@@ -825,8 +826,7 @@ def _value_type_cases():
          ("digit", "int", frozenset({"1"}), re.compile("[0-9]")), ("any", None, None)),
         (NodeTypeDef, _NODE_FIELDS, ("point", "p", ("int",), "int", ("point",), "point", True, True, "{0}"),
          ((), None, (), None, False, False, None)),
-        (Grammar, _GRAMMAR_FIELDS, ("g", {"point": node}, {"int": _INT}, ("point",), None),
-         ("", {}, {}, (), None)),
+        (Grammar, _GRAMMAR_FIELDS, ("g", {"point": node}, {"int": _INT}), ("", {}, {})),
     ]
 
 
@@ -893,22 +893,60 @@ def test_value_types_refuse_changes_to_every_field(cls, fields, values, defaults
     assert tuple(getattr(value, name) for name in fields) == values
 
 
-def test_a_grammar_changes_only_by_building_a_new_one(jsontl):
+def test_a_grammar_changes_only_by_building_a_new_one():
     # A Grammar reads its fields once, when it is built, into the tables check() uses.
+    grammar = load_builtin_grammar("jsontl")
+    doc = parse("n 1\na\n n 1.5\n n x")
+    expected = check(doc, grammar)
+    assert [(error.path, error.kind) for error in expected] == [((1, 1), "cellTypeMismatch")]
     with pytest.raises(AttributeError):
-        jsontl.root_types = ("obj",)
-    assert check(parse("n 1"), jsontl) == []
-    narrowed = Grammar(jsontl.name, jsontl.node_types, jsontl.cell_types, ("obj",), jsontl.root_catch_all)
-    assert [error.kind for error in check(parse("n 1"), narrowed)] == ["illegalChild"]
+        grammar.node_types = {}
+    num = grammar.node_types["num"]
+    grammar.node_types["num"] = NodeTypeDef(**{**{name: getattr(num, name) for name in _NODE_FIELDS}, "is_root": False})
+    grammar.cell_types["jsonnum"] = CellTypeDef("jsonnum", "int")
+    assert check(doc, grammar) == expected
+    rebuilt = Grammar(grammar.name, grammar.node_types, grammar.cell_types)
+    assert [error.kind for error in check(doc, rebuilt)] == ["illegalChild", "cellTypeMismatch", "cellTypeMismatch"]
+
+
+def test_a_hand_built_grammar_takes_its_roots_from_its_node_types():
+    any_cell = CellTypeDef("any")
+    node_types = {"a": NodeTypeDef("a", "a", is_root=True, catch_all_cell="any"), "b": NodeTypeDef("b", "b")}
+    grammar = Grammar("g", node_types, {"any": any_cell})
+    assert check(parse("a x y"), grammar) == []
+    assert [error.kind for error in check(parse("b"), grammar)] == ["illegalChild"]
+    # The first type marked is_root_catch_all matches any other first word at depth 0, marked root or not.
+    for is_root in (False, True):
+        node_types["c"] = NodeTypeDef("c", "c", catch_all_cell="any", is_root=is_root, is_root_catch_all=True)
+        node_types["d"] = NodeTypeDef("d", "d", is_root_catch_all=True)
+        grammar = Grammar("g", node_types, {"any": any_cell})
+        assert check(parse("a\nb x\nd x\nwombat y"), grammar) == []
+    for unknown_cell in ({"cells": ("ghost",)}, {"catch_all_cell": "ghost"}, {"catch_all_cell": ""}):
+        with pytest.raises(KeyError):
+            Grammar("g", {"a": NodeTypeDef("a", "a", is_root=True, **unknown_cell)})
+
+
+def test_a_rebuilt_grammar_equals_and_checks_like_the_loaded_one(jsontl, maptl):
+    rng = random.Random(1919)
+    for grammar in (jsontl, maptl, *map(load_grammar, _TEMPLATE_GRAMMARS)):
+        rebuilt = Grammar(grammar.name, dict(grammar.node_types), dict(grammar.cell_types))
+        assert rebuilt == grammar
+        docs = [random_document(rng) for _ in range(30)]
+        docs += [mutate_document(rng, from_json_typed(random_json(rng, depth=4))) for _ in range(30)]
+        docs += [mutate_document(rng, _match_word_tree(rng, grammar, max_depth=3)) for _ in range(30)]
+        for doc in docs:
+            assert check(doc, rebuilt) == check(doc, grammar), serialize(doc)
+    assert check(parse("n 1"), Grammar(jsontl.name, dict(jsontl.node_types), dict(jsontl.cell_types))) == []
 
 
 def test_grammar_equality_and_repr_ignore_its_derived_tables():
     text = builtin_grammar_text("maptl")
     first, second = load_grammar(text), load_grammar(text)
-    object.__setattr__(second, "_contexts", {})
-    object.__setattr__(second, "_match_words", frozenset())
+    derived = [name for name in Grammar.__slots__ if name not in Grammar._fields]
+    assert derived
+    for name in derived:
+        object.__setattr__(second, name, None)
     assert first == second and repr(first) == repr(second)
-    assert "_contexts" not in repr(first) and "_match_words" not in repr(first)
 
 
 def test_value_types_can_be_weakly_referenced(jsontl):
