@@ -25,8 +25,9 @@ Three layers, in order of fidelity:
 
 Both JSON encoders are one pre-order walk over a stack of child
 iterators, differing only in how they write a node's line; the JsonTL
-decoder fills containers from a stack of frames.  Neither recurses, so
-any depth that memory allows converts.
+decoder walks the same stack, joining each container to its parent once
+its children have joined.  None of them recurses, so any depth that
+memory allows converts.
 
 Encoders raise ConversionError for values outside their domain (keys
 with spaces or newlines, non-finite numbers, values that contain
@@ -220,31 +221,30 @@ def to_json_typed(doc: TreeDocument) -> JsonValue:
         raise _fail((), ARITY_MISMATCH, "expected exactly one root node, got none")
     if len(doc.roots) > 1:
         raise _fail((1,), DUPLICATE_ROOT, f"expected exactly one root node, got {len(doc.roots)}")
-    # Frames are [children, value, index of the child being read, key]. The
-    # document is read as a one-element array, so the indices spell the path
-    # and the walk ends when the root joins it.
+    # Frames are (child iterator, container, key), as in _encode.  The
+    # document is read as a one-element array, so the containers' lengths
+    # spell the path of the node being read and the walk ends when the root
+    # joins it.
     result: list = []
-    stack = [[doc.roots, result, 0, None]]
+    stack = [(iter(doc.roots), result, None)]
     while not result:
-        frame = stack[-1]
-        children, container, i = frame[0], frame[1], frame[2]
-        if i < len(children):
-            key, value = _decode(children[i], stack, keyed=isinstance(container, dict))
+        nodes, container, _ = stack[-1]
+        node = next(nodes, None)
+        if node is not None:
+            key, value = _decode(node, stack, keyed=isinstance(container, dict))
             if isinstance(value, (dict, list)):
-                stack.append([children[i].children, value, 0, key])
+                stack.append((iter(node.children), value, key))
                 continue
         else:
             # A container joins its parent only after all its children have.
-            stack.pop()
-            key, value, frame = frame[3], container, stack[-1]
-            container = frame[1]
+            _, value, key = stack.pop()
+            container = stack[-1][1]
         if isinstance(container, list):
             container.append(value)
         elif key in container:
             raise _refuse(stack, DUPLICATE_ROOT, f"duplicate key {key!r}")
         else:
             container[key] = value
-        frame[2] += 1
     return result[0]
 
 
@@ -253,7 +253,7 @@ def _refuse(stack, kind: str, message: str, near: str = "", candidates=(), below
     for its descendant ``below``, suggesting the candidate nearest ``near``."""
     from treetext.grammar import suggest
 
-    return _fail(tuple(frame[2] for frame in stack) + below, kind, message, suggest(near, candidates))
+    return _fail(tuple(len(frame[1]) for frame in stack) + below, kind, message, suggest(near, candidates))
 
 
 def _decode(node: TreeNode, stack, keyed: bool):

@@ -184,33 +184,35 @@ class Grammar(_Record):
 
     _fields = __match_args__ = ("name", "node_types", "cell_types")
     _values = attrgetter(*_fields)
-    # Three tables derived from the fields, outside ``==`` and ``repr``.  A
-    # context is a (table, catch_all) pair: ``table`` maps each match word
-    # to the first node type listed with it, and a node resolves with
-    # ``table.get(first_word, catch_all)``.  ``_root`` is the depth-0
-    # context.  ``_resolved`` maps each node type's name to the context its
-    # children resolve in, its cells as CellTypeDefs, and its catch-all cell
-    # or None.  ``_match_words`` holds every match word; an unresolved
-    # node with one of these is an illegal child.
-    __slots__ = (*_fields, "_root", "_resolved", "_match_words")
+    # Two tables derived from the fields, outside ``==`` and ``repr``.  Each
+    # node type, listed under its ``node_types`` key, resolves once to an
+    # entry: [node type, the context its children resolve in, its cells as
+    # CellTypeDefs, its catch-all cell or None].  A context is a (table,
+    # catch_all) pair: ``table`` maps each match word to the entry of the
+    # first node type listed with it, ``catch_all`` is an entry or None, and
+    # a node resolves with ``table.get(first_word, catch_all)``.  ``_root``
+    # is the depth-0 context.  ``_match_words`` holds every match word; an
+    # unresolved node with one of these is an illegal child.
+    __slots__ = (*_fields, "_root", "_match_words")
 
     def __init__(self, name: str = "", node_types: "dict[str, NodeTypeDef] | None" = None,
                  cell_types: "dict[str, CellTypeDef] | None" = None):
         types = {} if node_types is None else node_types
         cells = {} if cell_types is None else cell_types
-        catch_all = next((n for n, nt in types.items() if nt.is_root_catch_all), None)
-        root = _context(types, [n for n, nt in types.items() if nt.is_root and n != catch_all], catch_all)
-        resolved = {nt.name: (_context(types, nt.child_types, nt.catch_all_child), tuple(cells[c] for c in nt.cells),
-                              None if nt.catch_all_cell is None else cells[nt.catch_all_cell])
-                    for nt in types.values()}
-        self._set_fields(name, types, cells, root, resolved, frozenset(nt.match for nt in types.values()))
+        entries = {key: [nt, None, tuple(cells[c] for c in nt.cells),
+                         None if nt.catch_all_cell is None else cells[nt.catch_all_cell]]
+                   for key, nt in types.items()}
+        # A context may hold its own entry, so contexts are filled in after every entry exists.
+        for entry in entries.values():
+            entry[1] = _context(entries, entry[0].child_types, entry[0].catch_all_child)
+        catch_all = next((key for key, nt in types.items() if nt.is_root_catch_all), None)
+        root = _context(entries, [key for key, nt in types.items() if nt.is_root and key != catch_all], catch_all)
+        self._set_fields(name, types, cells, root, frozenset(nt.match for nt in types.values()))
 
 
-def _context(types, names, catch_all):
-    table: "dict[str, NodeTypeDef]" = {}
-    for name in names:
-        table.setdefault(types[name].match, types[name])  # the first listed type wins
-    return table, types[catch_all] if catch_all else None
+def _context(entries, keys, catch_all):
+    table = {entries[key][0].match: entries[key] for key in reversed(keys)}  # so the first listed type wins
+    return table, None if catch_all is None else entries[catch_all]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +377,6 @@ def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
     without one is an unknownNodeType error, and arity and cell types go
     unchecked.
     """
-    resolved = grammar._resolved
     # One path list, as in TreeDocument.walk; a tuple is built only for an error.
     path = [lo - 1]
     # (node, depth, the context it resolves in); children are pushed
@@ -390,8 +391,8 @@ def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
             path.append(0)
         words = node.line.split(WORD_SEP)
         first = words[0]
-        node_type = table.get(first, catch_all)
-        if node_type is None:
+        entry = table.get(first, catch_all)
+        if entry is None:
             if first in grammar._match_words:
                 errors.append(TlError(tuple(path), ILLEGAL_CHILD, f"node type {first!r} is not allowed here"))
                 continue  # children of an unresolved node have no defined types
@@ -400,9 +401,9 @@ def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
                 errors.append(TlError(tuple(path), UNKNOWN_NODE_TYPE, f"unknown node type {first!r}", suggestion))
                 continue
             node.set_line(suggestion + node.line[len(first):])
-            node_type = table[suggestion]
+            entry = table[suggestion]
 
-        context, cells, extra = resolved[node_type.name]
+        node_type, context, cells, extra = entry
         if not fix:  # autofix discards arity and cell errors: build none
             values = words[1:]
             if len(values) < len(cells) or (len(values) > len(cells) and extra is None):
@@ -437,7 +438,7 @@ def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
         children = node.children
         if not children:
             continue
-        if not node_type.child_types and node_type.catch_all_child is None:
+        if not context[0] and context[1] is None:
             message = f"{node_type.name} nodes do not take children"
             prefix = tuple(path)
             errors.extend(TlError(prefix + (j,), ILLEGAL_CHILD, message) for j in range(len(children)))

@@ -921,9 +921,23 @@ def test_a_hand_built_grammar_takes_its_roots_from_its_node_types():
         node_types["d"] = NodeTypeDef("d", "d", is_root_catch_all=True)
         grammar = Grammar("g", node_types, {"any": any_cell})
         assert check(parse("a\nb x\nd x\nwombat y"), grammar) == []
-    for unknown_cell in ({"cells": ("ghost",)}, {"catch_all_cell": "ghost"}, {"catch_all_cell": ""}):
+    unknown_names = ({"cells": ("ghost",)}, {"catch_all_cell": "ghost"}, {"catch_all_cell": ""},
+                     {"child_types": ("",)}, {"catch_all_child": ""})
+    for unknown in unknown_names:
         with pytest.raises(KeyError):
-            Grammar("g", {"a": NodeTypeDef("a", "a", is_root=True, **unknown_cell)})
+            Grammar("g", {"a": NodeTypeDef("a", "a", is_root=True, **unknown)})
+
+
+def test_a_node_checks_against_the_type_listed_under_its_key():
+    # Two types share a name under different keys; each node keeps the cells of the type it resolved to.
+    node_types = {"x": NodeTypeDef("a", "a", cells=("int",), is_root=True), "a": NodeTypeDef("a", "zz", is_root=True)}
+    grammar = Grammar("g", node_types, {"int": _INT})
+    assert check(parse("a 5"), grammar) == []
+    assert check(parse("zz"), grammar) == []
+    assert [error.kind for error in check(parse("a x\nzz 5"), grammar)] == ["cellTypeMismatch", "arityMismatch"]
+    # A catch-all child is one when it is not None: the empty key names a type like any other.
+    grammar = Grammar("g", {"a": NodeTypeDef("a", "a", is_root=True, catch_all_child=""), "": NodeTypeDef("", "b")})
+    assert check(parse("a\n x\n b"), grammar) == []
 
 
 def test_a_rebuilt_grammar_equals_and_checks_like_the_loaded_one(jsontl, maptl):
