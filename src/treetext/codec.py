@@ -24,10 +24,14 @@ Three layers, in order of fidelity:
   dialect: key = first word, value = rest of the line.
 
 Both JSON encoders are one pre-order walk over a stack of child
-iterators, differing only in how they write a node's line; the JsonTL
-decoder walks the same stack, joining each container to its parent once
-its children have joined.  None of them recurses, so any depth that
-memory allows converts.
+iterators.  One type dispatch, ``_scalar``, reads each value's JsonTL
+tag and inline text; the walk descends, writes child lines or stops
+from that pair alone, and the dialects differ only in how they write a
+node's line from its key, tag and text.  A member's key is checked
+before its value, so both encoders raise the same error first.  The
+JsonTL decoder walks the same stack, joining each container to its
+parent once its children have joined.  None of them recurses, so any
+depth that memory allows converts.
 
 Encoders raise ConversionError for values outside their domain (keys
 with spaces or newlines, non-finite numbers, values that contain
@@ -124,9 +128,11 @@ def from_json_typed(value: JsonValue) -> TreeDocument:
 def _encode(items, line) -> "list[TreeNode]":
     """Build one node per ``(key, value)`` pair, key _NO_KEY for array elements.
 
-    ``line(key, value)`` writes a node's line in the caller's dialect.
-    The walk keeps a stack of child iterators and descends as soon as it
-    meets a container, so nodes are built, and errors raised, in pre-order.
+    ``line(key, tag, text)`` writes a node's line in the caller's dialect
+    from the key and the value's ``_scalar``.  The walk keeps a stack of
+    child iterators and descends as soon as it meets a container, so
+    nodes are built, and errors raised, in pre-order: a member's key
+    before its value.
     """
     roots: "list[TreeNode]" = []
     stack = [(iter(items), roots, None)]
@@ -134,16 +140,19 @@ def _encode(items, line) -> "list[TreeNode]":
     while stack:
         pairs, siblings, _ = stack[-1]
         for key, value in pairs:
-            node = TreeNode(line(key, value))
+            if key is not _NO_KEY:
+                _check_key(key)
+            tag, text = _scalar(value)
+            node = TreeNode(line(key, tag, text))
             siblings.append(node)
-            if isinstance(value, (dict, list)):
+            if tag == "o" or tag == "a":
                 if id(value) in open_ids:
                     raise ConversionError(f"{type(value).__name__} contains itself; JSON has no cycles")
                 open_ids.add(id(value))
-                children = value.items() if isinstance(value, dict) else ((_NO_KEY, v) for v in value)
+                children = value.items() if tag == "o" else ((_NO_KEY, v) for v in value)
                 stack.append((iter(children), node.children, id(value)))
                 break
-            if _is_multiline(value):
+            if text is None:
                 # Child lines, not escapes: the text is stored as the
                 # sub-document it already is, so the tree equals its re-parse.
                 node.children = parse(value).roots
@@ -152,62 +161,45 @@ def _encode(items, line) -> "list[TreeNode]":
     return roots
 
 
-def _untyped_line(key, value) -> str:
-    # Array elements have no key: first word is empty.
-    head = "" if key is _NO_KEY else _check_key(key)
-    if isinstance(value, (dict, list)) or _is_multiline(value):
-        return head
-    text = _scalar_text(value)
-    return head + WORD_SEP + text if text or key is _NO_KEY else head
+def _untyped_line(key, tag: str, text) -> str:
+    # An array element's first word is empty, so it keeps even empty text.
+    if key is _NO_KEY:
+        return "" if text is None else WORD_SEP + text
+    return key + WORD_SEP + text if text else key
 
 
-def _typed_line(key, value) -> str:
-    head = _tag_for(value)
-    if key is not _NO_KEY:
-        head += WORD_SEP + _check_key(key)
-    if value is None or value == "" or isinstance(value, (dict, list)) or _is_multiline(value):
-        return head
-    return head + WORD_SEP + _scalar_text(value)
+def _typed_line(key, tag: str, text) -> str:
+    head = tag if key is _NO_KEY else tag + WORD_SEP + key
+    return head + WORD_SEP + text if text and tag != "z" else head
 
 
-def _is_multiline(value) -> bool:
-    return isinstance(value, str) and NEWLINE in value
+def _scalar(value) -> "tuple[str, str | None]":
+    """A JSON value's JsonTL tag and its inline text.
 
-
-def _scalar_text(value) -> str:
+    The text is None for a container and for a multi-line string, which
+    write their content as child nodes instead.
+    """
+    if isinstance(value, dict):
+        return "o", None
+    if isinstance(value, list):
+        return "a", None
     if isinstance(value, str):
-        return value
+        return "s", None if NEWLINE in value else value
     if value is True:
-        return "true"
+        return "b", "true"
     if value is False:
-        return "false"
+        return "b", "false"
     if value is None:
-        return "null"
+        return "z", "null"
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ConversionError(f"non-finite number {value!r} has no JSON text")
-        return repr(value)
+        return "n", repr(value)
     if isinstance(value, int):
         try:
-            return str(value)
+            return "n", str(value)
         except ValueError:  # past the interpreter's int-to-string digit limit
             raise ConversionError("integer has too many digits to write as JSON text") from None
-    raise ConversionError(f"{type(value).__name__} is not a JSON value")
-
-
-def _tag_for(value) -> str:
-    if isinstance(value, dict):
-        return "o"
-    if isinstance(value, list):
-        return "a"
-    if isinstance(value, str):
-        return "s"
-    if value is True or value is False:
-        return "b"
-    if value is None:
-        return "z"
-    if isinstance(value, (int, float)):
-        return "n"
     raise ConversionError(f"{type(value).__name__} is not a JSON value")
 
 

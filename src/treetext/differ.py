@@ -262,8 +262,9 @@ def _read_count(op: TreeNode, stack, k: int) -> int:
     if op.children:
         raise PatchFormatError(f"{op.first_word} takes no children", _op_path(stack, k))
     words = op.words
-    # isdecimal, not isdigit: int() rejects digits such as "²".
-    if len(words) != 2 or not words[1].isdecimal():
+    # ASCII digits only, as diff writes them: isdigit alone takes "²", which
+    # int() rejects, and isdecimal takes "٣", which int() reads as 3.
+    if len(words) != 2 or not (words[1].isascii() and words[1].isdigit()):
         raise PatchFormatError(f"{op.first_word} needs one nonnegative count", _op_path(stack, k))
     try:
         return int(words[1])

@@ -23,9 +23,6 @@ from treetext.codec import (
     ConversionError,
     _check_key,
     _fail,
-    _is_multiline,
-    _scalar_text,
-    _tag_for,
 )
 from treetext.core import DUPLICATE_ROOT, INDENT, NEWLINE, WORD_SEP, NodePath, TreeDocument, TreeNode, parse, serialize
 from treetext.grammar import (
@@ -324,6 +321,51 @@ def random_string(rng: random.Random) -> str:
 
 # ---------------------------------------------------------------------------
 # reference JSON codecs
+#
+# The scalar rules below are the codec's two type dispatches from before it
+# read each value once; the oracles keep their own copy so that they share no
+# code with the encoders they check.
+
+
+def _is_multiline(value) -> bool:
+    return isinstance(value, str) and NEWLINE in value
+
+
+def _scalar_text(value) -> str:
+    if isinstance(value, str):
+        return value
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConversionError(f"non-finite number {value!r} has no JSON text")
+        return repr(value)
+    if isinstance(value, int):
+        try:
+            return str(value)
+        except ValueError:  # past the interpreter's int-to-string digit limit
+            raise ConversionError("integer has too many digits to write as JSON text") from None
+    raise ConversionError(f"{type(value).__name__} is not a JSON value")
+
+
+def _tag_for(value) -> str:
+    if isinstance(value, dict):
+        return "o"
+    if isinstance(value, list):
+        return "a"
+    if isinstance(value, str):
+        return "s"
+    if value is True or value is False:
+        return "b"
+    if value is None:
+        return "z"
+    if isinstance(value, (int, float)):
+        return "n"
+    raise ConversionError(f"{type(value).__name__} is not a JSON value")
 
 
 def reference_from_json_untyped(value) -> TreeDocument:
@@ -359,16 +401,17 @@ def _reference_project(node: TreeNode, value) -> TreeNode:
 def reference_from_json_typed(value) -> TreeDocument:
     """The codec's original recursive JsonTL encoder, kept as an oracle.
 
-    One change: it took key None for "no key", so an object member keyed
-    None lost its key silently.  Here ``keyed`` says whether there is one.
+    Two changes: it took key None for "no key", so an object member keyed
+    None lost its key silently; here ``keyed`` says whether there is one.
+    And it checked a member's value before its key; here the key comes
+    first, as in both encoders.
     """
     return TreeDocument([_reference_encode(value, None, keyed=False)])
 
 
 def _reference_encode(value, key, keyed: bool) -> TreeNode:
-    head = _tag_for(value)
-    if keyed:
-        head += WORD_SEP + _check_key(key)
+    key_word = WORD_SEP + _check_key(key) if keyed else ""
+    head = _tag_for(value) + key_word
     node = TreeNode(head)
     if isinstance(value, dict):
         node.children = [_reference_encode(v, k, keyed=True) for k, v in value.items()]
@@ -473,17 +516,18 @@ def _reference_accepts(cell, word: str) -> bool:
 
 def reference_contexts(grammar) -> dict:
     """Every context a node can resolve in, read from the grammar's public
-    fields: one ``(table, catch_all)`` pair per node type, keyed by its
-    name, for its children, and the key None for depth 0.  ``table`` maps
-    each match word to the first node type listed with it."""
+    fields: one ``(table, catch_all)`` pair per ``node_types`` key, for the
+    children of the type listed under it, and the key None for depth 0.
+    ``table`` maps each match word to the key of the first node type listed
+    with it, and ``catch_all`` is a key, or None when there is none."""
 
-    def context(names, catch_all):
+    def context(keys, catch_all):
         table = {}
-        for name in names:
-            table.setdefault(grammar.node_types[name].match, grammar.node_types[name])
-        return table, grammar.node_types[catch_all] if catch_all else None
+        for key in keys:
+            table.setdefault(grammar.node_types[key].match, key)
+        return table, catch_all
 
-    contexts = {nt.name: context(nt.child_types, nt.catch_all_child) for nt in grammar.node_types.values()}
+    contexts = {key: context(nt.child_types, nt.catch_all_child) for key, nt in grammar.node_types.items()}
     catch_alls = [n for n, nt in grammar.node_types.items() if nt.is_root_catch_all]
     catch_all = catch_alls[0] if catch_alls else None
     roots = [n for n, nt in grammar.node_types.items() if nt.is_root and n != catch_all]
@@ -510,8 +554,8 @@ def reference_check(doc: TreeDocument, grammar) -> "list[TlError]":
             path.append(0)
         table, catch_all = contexts[parent]
         first = node.first_word
-        node_type = table.get(first, catch_all)
-        if node_type is None:
+        key = table.get(first, catch_all)
+        if key is None:
             if first in match_words:
                 errors.append(TlError(tuple(path), ILLEGAL_CHILD, f"node type {first!r} is not allowed here"))
             else:
@@ -519,6 +563,7 @@ def reference_check(doc: TreeDocument, grammar) -> "list[TlError]":
                 errors.append(TlError(tuple(path), UNKNOWN_NODE_TYPE, message, suggestion=suggest(first, table)))
             continue
 
+        node_type = grammar.node_types[key]
         values = node.words[1:]
         cells = node_type.cells
         if len(values) < len(cells) or (len(values) > len(cells) and node_type.catch_all_cell is None):
@@ -547,7 +592,7 @@ def reference_check(doc: TreeDocument, grammar) -> "list[TlError]":
             prefix = tuple(path)
             errors.extend(TlError(prefix + (j,), ILLEGAL_CHILD, message) for j in range(len(children)))
             continue
-        stack.extend(zip(reversed(children), repeat(depth + 1), repeat(node_type.name)))
+        stack.extend(zip(reversed(children), repeat(depth + 1), repeat(key)))
     return errors
 
 

@@ -163,6 +163,15 @@ def test_encoder_rejects_bad_keys_and_numbers():
         from_json_typed(object())
 
 
+def test_both_encoders_check_a_member_key_before_its_value():
+    # 10**5000 is past CPython's 4,300-digit int-to-string limit.
+    for value in [{1, 2}, object(), math.inf, 10**5000]:
+        for encode in (from_json_untyped, from_json_typed):
+            with pytest.raises(ConversionError) as info:
+                encode({"a b": value})
+            assert str(info.value) == "object key 'a b' contains a space; keys must be single words"
+
+
 def test_encoding_is_deterministic_and_order_preserving():
     value = {"b": 1, "a": 2}
     assert serialize(from_json_typed(value)) == "o\n n b 1\n n a 2"

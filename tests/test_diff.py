@@ -193,6 +193,7 @@ def test_malformed_patches():
         "keep x",
         "keep -1",
         "keep ²",
+        "keep ١",
         "keep " + "9" * 5000,
         "keep 1 2",
         "insert stuff",

@@ -677,15 +677,15 @@ def _match_word_tree(rng, grammar, max_depth=6):
     while stack:
         siblings, parent, depth = stack.pop()
         table, catch_all = contexts[parent]
-        legal = sorted(table) + ([catch_all.match] if catch_all else [])
+        legal = sorted(table) + ([] if catch_all is None else [grammar.node_types[catch_all].match])
         for _ in range(rng.randrange(0 if depth == 0 else 1, 4)):
             first = rng.choice(everywhere if rng.random() < 0.03 else legal)
             node = TreeNode(" ".join([first] + rng.choices("xyz", k=rng.randrange(0, 4))))
             siblings.append(node)
-            node_type = table.get(first, catch_all)
-            takes_children = node_type and (node_type.child_types or node_type.catch_all_child)
+            key = table.get(first, catch_all)
+            takes_children = key is not None and contexts[key] != ({}, None)
             if takes_children and depth < max_depth and rng.random() < 0.6:
-                stack.append((node.children, node_type.name, depth + 1))
+                stack.append((node.children, key, depth + 1))
     return doc
 
 
@@ -938,6 +938,21 @@ def test_a_node_checks_against_the_type_listed_under_its_key():
     # A catch-all child is one when it is not None: the empty key names a type like any other.
     grammar = Grammar("g", {"a": NodeTypeDef("a", "a", is_root=True, catch_all_child=""), "": NodeTypeDef("", "b")})
     assert check(parse("a\n x\n b"), grammar) == []
+
+
+def test_the_check_oracle_resolves_node_types_by_their_key():
+    # The same-name grammar, where each key has its own children, and a catch-all child under the key "".
+    node_types = {
+        "x": NodeTypeDef("a", "a", child_types=("c",), is_root=True),
+        "a": NodeTypeDef("a", "zz", child_types=("d",), is_root=True),
+        "c": NodeTypeDef("c", "c"),
+        "d": NodeTypeDef("d", "d"),
+    }
+    cases = [(Grammar("g", node_types), text) for text in ("a\n c", "zz\n d", "a\n d", "zz\n c")]
+    node_types = {"a": NodeTypeDef("a", "a", is_root=True, catch_all_child=""), "": NodeTypeDef("", "b")}
+    cases.append((Grammar("g", node_types), "a\n x\n b"))
+    for grammar, text in cases:
+        assert reference_check(parse(text), grammar) == check(parse(text), grammar), text
 
 
 def test_a_rebuilt_grammar_equals_and_checks_like_the_loaded_one(jsontl, maptl):
