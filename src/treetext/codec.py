@@ -191,13 +191,15 @@ def _scalar(value) -> "tuple[str, str | None]":
         return "b", "false"
     if value is None:
         return "z", "null"
+    # int's and float's own repr, as json writes them: a subclass's str or
+    # repr, such as an IntEnum member's "C.A" on Python 3.10, is no number.
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ConversionError(f"non-finite number {value!r} has no JSON text")
-        return "n", repr(value)
+        return "n", float.__repr__(value)
     if isinstance(value, int):
         try:
-            return "n", str(value)
+            return "n", int.__repr__(value)
         except ValueError:  # past the interpreter's int-to-string digit limit
             raise ConversionError("integer has too many digits to write as JSON text") from None
     raise ConversionError(f"{type(value).__name__} is not a JSON value")

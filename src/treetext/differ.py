@@ -27,9 +27,15 @@ n old and m new siblings instead of a dense table of integers.  Every
 subtree of both documents gets an id once per call, equal exactly for
 equal structure (a leaf's line, or an integer interned for an inner
 node, as in GumTree, Falleri et al. 2014), so a matched pair is
-compared in constant time at any depth.  Both ``diff`` and
-``apply_patch`` walk with explicit stacks, so depth is limited only by
-memory.
+compared in constant time at any depth.
+
+Both ``diff`` and ``apply_patch`` take one level, a matched pair of
+sibling lists, per work item: a level reads its ops (or writes them)
+in one pass and appends a work item for each pair it descends into, so
+depth is limited only by memory.  Levels are taken in the order they
+are entered, breadth-first, so ``apply_patch`` raises the error of the
+first failing level in that order: a level's own ops are all read
+before any level its descends enter.
 
 Guarantees: ``apply_patch(diff(a, b), a) == b`` for all documents, and
 ``diff(a, a)`` is the single line ``keep <root count>``.  ``diff(a, b)``
@@ -68,11 +74,11 @@ def diff(a: TreeDocument, b: TreeDocument) -> TreeDocument:
     """Compute a PatchTL document p with apply_patch(p, a) == b."""
     ids = _subtree_ids(a.roots, b.roots)
     patch = TreeDocument()
-    # Each level writes only into its own op list, so the order in which
-    # pending levels are taken does not change the script.
+    # One work item per level, taken in the order entered.  Each level
+    # writes only into its own op list, so that order does not change the
+    # script.
     work = [(a.roots, b.roots, patch.roots)]
-    while work:
-        old, new, ops = work.pop()
+    for old, new, ops in work:
         _diff_siblings(old, new, ops, ids, work)
     if not patch.roots:
         patch.roots = [TreeNode(f"{KEEP} 0")]
@@ -194,79 +200,69 @@ def _close_run(ops, word: str, count: int) -> None:
 def apply_patch(patch: TreeDocument, doc: TreeDocument) -> TreeDocument:
     """Replay a PatchTL document against doc, producing a new document.
 
-    Raises PatchFormatError for malformed patches and PatchMismatchError
-    when keep/delete/descend counts do not fit doc; the error's path
-    names the position in doc where consumption failed.
+    Raises PatchFormatError for malformed patches, its path in the patch,
+    and PatchMismatchError when keep/delete/descend counts do not fit doc,
+    its path naming the position in doc where consumption failed.  A
+    level's own ops are all read before any level its descends enter.
     """
     result = TreeDocument()
-    # One frame per entered level: [ops, source, out, op index, source index].
-    # A frame below the top holds the indices of the descend it is inside,
-    # so the indices down the stack spell the patch and document paths.
-    stack = [[patch.roots, doc.roots, result.roots, 0, 0]]
-    while stack:
-        frame = stack[-1]
-        ops, source, out, k, i = frame
-        while k < len(ops):
-            op = ops[k]
+    # One work item per entered level, taken in the order entered.  A
+    # level's trail is (op index, source index, parent trail) of the
+    # descend that entered it, spelled as a path only for an error.
+    work = [(patch.roots, doc.roots, result.roots, None)]
+    for ops, source, out, trail in work:
+        i = 0
+        for k, op in enumerate(ops):
             kind = op.first_word
             if kind == KEEP or kind == DELETE:
-                count = _read_count(op, stack, k)
+                count = _read_count(op, trail, k)
                 if i + count > len(source):
                     raise PatchMismatchError(
-                        f"{kind} {count} overruns {len(source) - i} remaining sibling(s)",
-                        _doc_path(stack, i),
+                        f"{kind} {count} overruns {len(source) - i} remaining sibling(s)", _path(trail, 1, i)
                     )
                 if kind == KEEP:
                     out.extend(source[i : i + count])
                 i += count
+            elif kind != INSERT and kind != DESCEND:
+                raise PatchFormatError(f"unknown operation {kind!r}", _path(trail, 0, k))
+            elif op.content:
+                raise PatchFormatError(f"{kind} takes no words", _path(trail, 0, k))
             elif kind == INSERT:
-                if op.content:
-                    raise PatchFormatError("insert takes no words", _op_path(stack, k))
                 out.extend(op.children)
-            elif kind == DESCEND:
-                if op.content:
-                    raise PatchFormatError("descend takes no words", _op_path(stack, k))
-                if i >= len(source):
-                    raise PatchMismatchError("descend overruns the sibling list", _doc_path(stack, i))
+            elif i >= len(source):
+                raise PatchMismatchError("descend overruns the sibling list", _path(trail, 1, i))
+            else:
                 node = TreeNode(source[i].line)
                 out.append(node)
-                frame[3], frame[4] = k, i
-                stack.append([op.children, source[i].children, node.children, 0, 0])
-                break
-            else:
-                raise PatchFormatError(f"unknown operation {kind!r}", _op_path(stack, k))
-            k += 1
-        else:
-            if i != len(source):
-                raise PatchMismatchError(
-                    f"patch left {len(source) - i} sibling(s) unconsumed", _doc_path(stack, i)
-                )
-            stack.pop()
-            if stack:  # step the parent past the descend just finished
-                stack[-1][3] += 1
-                stack[-1][4] += 1
+                work.append((op.children, source[i].children, node.children, (k, i, trail)))
+                i += 1
+        if i != len(source):
+            raise PatchMismatchError(f"patch left {len(source) - i} sibling(s) unconsumed", _path(trail, 1, i))
     # Kept and inserted runs hold doc's and the patch's own nodes up to
     # here: one copy detaches them with one collector pause, as in diff.
     return result.clone()
 
 
-def _doc_path(stack, i: int) -> NodePath:
-    return tuple(frame[4] for frame in stack[:-1]) + (i,)
+def _path(trail, side: int, last: int) -> NodePath:
+    """The patch path (side 0) or document path (side 1) that ends at
+    ``last`` in the level ``trail`` entered."""
+    path = [last]
+    while trail is not None:
+        path.append(trail[side])
+        trail = trail[2]
+    path.reverse()
+    return tuple(path)
 
 
-def _op_path(stack, k: int) -> NodePath:
-    return tuple(frame[3] for frame in stack[:-1]) + (k,)
-
-
-def _read_count(op: TreeNode, stack, k: int) -> int:
+def _read_count(op: TreeNode, trail, k: int) -> int:
     if op.children:
-        raise PatchFormatError(f"{op.first_word} takes no children", _op_path(stack, k))
+        raise PatchFormatError(f"{op.first_word} takes no children", _path(trail, 0, k))
     words = op.words
     # ASCII digits only, as diff writes them: isdigit alone takes "²", which
     # int() rejects, and isdecimal takes "٣", which int() reads as 3.
     if len(words) != 2 or not (words[1].isascii() and words[1].isdigit()):
-        raise PatchFormatError(f"{op.first_word} needs one nonnegative count", _op_path(stack, k))
+        raise PatchFormatError(f"{op.first_word} needs one nonnegative count", _path(trail, 0, k))
     try:
         return int(words[1])
     except ValueError:  # past the interpreter's int-to-string digit limit
-        raise PatchFormatError(f"{op.first_word} count is too long", _op_path(stack, k)) from None
+        raise PatchFormatError(f"{op.first_word} count is too long", _path(trail, 0, k)) from None

@@ -24,7 +24,19 @@ from treetext.codec import (
     _check_key,
     _fail,
 )
-from treetext.core import DUPLICATE_ROOT, INDENT, NEWLINE, WORD_SEP, NodePath, TreeDocument, TreeNode, parse, serialize
+from treetext.core import (
+    DUPLICATE_ROOT,
+    INDENT,
+    NEWLINE,
+    WORD_SEP,
+    NodePath,
+    TreeDocument,
+    TreeError,
+    TreeNode,
+    parse,
+    serialize,
+)
+from treetext.differ import PatchFormatError, PatchMismatchError
 from treetext.grammar import (
     ARITY_MISMATCH,
     CELL_BASES,
@@ -278,6 +290,92 @@ def _reference_siblings(old: "list[TreeNode]", new: "list[TreeNode]") -> "list[T
             ops[-1].children.append(new[j].clone())
             j += 1
     return ops
+
+
+# ---------------------------------------------------------------------------
+# reference apply_patch
+
+
+def reference_apply_patch(patch: TreeDocument, doc: TreeDocument) -> TreeDocument:
+    """PatchTL replayed recursively from the README's rules, kept as an oracle.
+
+    Each level reads its ops until its first error, records that error
+    under (depth, patch path of the level) and recurses into the descends
+    it entered before the error.  The least key's error is raised: the
+    first failing level in breadth-first order, each depth's levels in
+    patch order.  Recursive, so use it on shallow patches only.
+    """
+    errors: "dict[tuple, TreeError]" = {}
+    roots = _reference_replay(patch.roots, doc.roots, (), (), errors)
+    if errors:
+        raise errors[min(errors)]
+    return TreeDocument(roots)
+
+
+def _reference_replay(ops, source, op_path: NodePath, doc_path: NodePath, errors: dict) -> "list[TreeNode]":
+    out: "list[TreeNode]" = []
+    i = 0
+    try:
+        for k, op in enumerate(ops):
+            word, here = op.first_word, op_path + (k,)
+            if word in ("keep", "delete"):
+                if op.children:
+                    raise PatchFormatError(f"{word} takes no children", here)
+                if len(op.words) != 2 or not re.fullmatch("[0-9]+", op.words[1]):
+                    raise PatchFormatError(f"{word} needs one nonnegative count", here)
+                try:
+                    count = int(op.words[1])
+                except ValueError:
+                    raise PatchFormatError(f"{word} count is too long", here) from None
+                if count > len(source) - i:
+                    raise PatchMismatchError(
+                        f"{word} {count} overruns {len(source) - i} remaining sibling(s)", doc_path + (i,)
+                    )
+                if word == "keep":
+                    out.extend(node.clone() for node in source[i : i + count])
+                i += count
+            elif word not in ("insert", "descend"):
+                raise PatchFormatError(f"unknown operation {word!r}", here)
+            elif op.content:
+                raise PatchFormatError(f"{word} takes no words", here)
+            elif word == "insert":
+                out.extend(node.clone() for node in op.children)
+            elif i == len(source):
+                raise PatchMismatchError("descend overruns the sibling list", doc_path + (i,))
+            else:
+                children = _reference_replay(op.children, source[i].children, here, doc_path + (i,), errors)
+                out.append(TreeNode(source[i].line, children))
+                i += 1
+        if i != len(source):
+            raise PatchMismatchError(f"patch left {len(source) - i} sibling(s) unconsumed", doc_path + (i,))
+    except TreeError as error:
+        errors[len(op_path), op_path] = error
+    return out
+
+
+_BAD_OPS = ("kep 1", "keep x", "insert a", "delete 3")
+
+
+def mutate_patch(rng: random.Random, patch: TreeDocument) -> TreeDocument:
+    """A copy of ``patch`` with one to three edits, each to a random op
+    list: an op line replaced by, or a new op made of, one of
+    ``_BAD_OPS``, or a child put under a keep.  Several edits in
+    different levels test which error wins."""
+    out = parse(patch.serialize())
+    levels = [out.roots]
+    for ops in levels:  # a descend's children are ops; an insert's are data
+        levels.extend(op.children for op in ops if op.first_word == "descend")
+    for _ in range(rng.randrange(1, 4)):
+        ops = rng.choice(levels)
+        keeps = [op for op in ops if op.first_word == "keep"]
+        action = rng.randrange(3)
+        if action == 0 and keeps:
+            rng.choice(keeps).children.append(TreeNode("keep 1"))
+        elif action == 1 and ops:
+            ops[rng.randrange(len(ops))].set_line(rng.choice(_BAD_OPS))
+        else:
+            ops.insert(rng.randrange(len(ops) + 1), TreeNode(rng.choice(_BAD_OPS)))
+    return out
 
 
 # ---------------------------------------------------------------------------

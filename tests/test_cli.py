@@ -402,7 +402,7 @@ def _loaded_by(code: str, modules: "set[str]", *flags: str) -> "list[str]":
     """Run ``code`` in a fresh interpreter started with ``flags``; return which of ``modules`` it loaded."""
     code += f"\nimport sys\nprint(*sorted({modules!r} & set(sys.modules)), file=sys.stderr)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(treetext.__file__))}
-    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, encoding="utf-8", env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stderr.split()
 

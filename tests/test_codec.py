@@ -1,5 +1,6 @@
 """JSON interconversion: untyped projection, JsonTL, MapTL."""
 
+import enum
 import json
 import math
 import random
@@ -170,6 +171,34 @@ def test_both_encoders_check_a_member_key_before_its_value():
             with pytest.raises(ConversionError) as info:
                 encode({"a b": value})
             assert str(info.value) == "object key 'a b' contains a space; keys must be single words"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _LoudInt(int):
+    def __repr__(self):
+        return "loud"
+
+    __str__ = __repr__
+
+
+class _LoudFloat(float):
+    def __repr__(self):
+        return "loud"
+
+    __str__ = __repr__
+
+
+def test_number_subclasses_write_their_number_text():
+    # int's and float's own text, as json.dumps writes them: on Python 3.10
+    # str(_Level.LOW) is "_Level.LOW", which no decoder reads as a number.
+    for value, text in [(_Level.LOW, "1"), (_LoudInt(-7), "-7"), (_LoudFloat(2.5), "2.5")]:
+        assert json.dumps(value) == text
+        assert serialize(from_json_untyped({"k": value})) == f"k {text}"
+        assert serialize(from_json_typed({"k": value})) == f"o\n n k {text}"
+        assert to_json_typed(from_json_typed({"k": value})) == {"k": json.loads(text)}
 
 
 def test_encoding_is_deterministic_and_order_preserving():

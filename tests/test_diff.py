@@ -11,8 +11,10 @@ from helpers import (
     DEEP,
     chain,
     mutate_document,
+    mutate_patch,
     patch_op_words,
     random_document,
+    reference_apply_patch,
     reference_diff,
     spine,
 )
@@ -21,6 +23,7 @@ from treetext import (
     PatchFormatError,
     PatchMismatchError,
     TreeDocument,
+    TreeError,
     TreeNode,
     apply_patch,
     diff,
@@ -184,6 +187,19 @@ def test_apply_descend_errors():
     with pytest.raises(PatchMismatchError) as info:
         apply_patch(parse("descend\n keep 2"), parse("a\n b"))
     assert info.value.path == (0, 0)
+    # A level's own ops are all read before the levels its descends enter,
+    # so the root level's overrun wins over the one inside the descend.
+    with pytest.raises(PatchMismatchError) as info:
+        apply_patch(parse("descend\n keep 5\nkeep 9"), parse("a\n b"))
+    assert str(info.value) == "keep 9 overruns 0 remaining sibling(s) (at path [1])"
+    assert info.value.path == (1,)
+
+
+def test_a_level_reads_all_its_ops_before_its_descends():
+    with pytest.raises(PatchFormatError) as info:
+        apply_patch(parse("descend\n kep 1\nhold 1"), parse("a\n b"))
+    assert str(info.value) == "unknown operation 'hold' (at patch path [1])"
+    assert info.value.path == (1,)
 
 
 def test_malformed_patches():
@@ -267,6 +283,29 @@ def test_diff_matches_the_dense_table_reference():
         a = random_document(rng)
         b = mutate_document(rng, a) if i % 2 else random_document(rng)
         assert serialize(diff(a, b)) == serialize(reference_diff(a, b))
+
+
+def _outcome(apply, patch, doc):
+    """The serialized result, or the class, text and path of the error raised."""
+    try:
+        return serialize(apply(patch, doc))
+    except TreeError as error:
+        return type(error), str(error), error.path
+
+
+def test_apply_patch_matches_the_reference():
+    rng = random.Random(47)
+    raised = 0
+    for i in range(2000):
+        a = random_document(rng)
+        b = mutate_document(rng, a) if i % 2 else random_document(rng)
+        patch = diff(a, b)
+        assert _outcome(apply_patch, patch, a) == _outcome(reference_apply_patch, patch, a) == serialize(b)
+        mutant = mutate_patch(rng, patch)
+        expected = _outcome(reference_apply_patch, mutant, a)
+        assert _outcome(apply_patch, mutant, a) == expected, serialize(mutant)
+        raised += not isinstance(expected, str)
+    assert raised > 1000
 
 
 # ---------------------------------------------------------------------------
