@@ -13,10 +13,13 @@ Two guarantees hold for every input string, with no exceptions:
 
 A line indented more than one level below its predecessor attaches one
 level down and keeps the surplus spaces inside ``line``; that local rule
-is what makes the round trip exact for arbitrary input.  Equality of
-documents (and of nodes) is equality of their serializations: there is
-exactly one encoding per tree, so textual identity and structural
-identity coincide.
+is what makes the round trip exact for arbitrary input.
+
+Equality of documents (and of nodes) is equality of their
+serializations.  For parsed documents that is equality of structure, but
+a hand-built tree can share its text with a tree of another shape: a
+root whose line starts with a space reads back as a child of the root
+before it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import gc
 import os
 from _thread import allocate_lock
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import repeat
-from operator import sub
+from itertools import repeat, starmap, zip_longest
+from operator import eq, sub
 
 NEWLINE = "\n"  # separates nodes vertically; never legal inside a line
 INDENT = " "    # one space per depth level
@@ -185,7 +188,7 @@ class TreeNode:
     def __eq__(self, other: object):
         if not isinstance(other, TreeNode):
             return NotImplemented
-        return self.serialize() == other.serialize()
+        return _same_shape([self], [other]) or _same_text([self], [other])
 
     __hash__ = None  # mutable
 
@@ -266,16 +269,27 @@ class TreeDocument:
 
     def serialize(self) -> str:
         # Each node adds two strings to one list: the newline and indent
-        # for its depth, from a per-depth cache, then its line.  A pre-order
-        # walk goes at most one level deeper per node, so the cache grows
-        # one string at a time.
+        # for its depth, from a per-depth cache, then its line.  This is
+        # _walk_depth written inline, one child iterator per open level, so
+        # a node costs no generator step; a level is entered at most one
+        # deeper than the last, so the cache grows one string at a time.
         heads = [NEWLINE]
         parts: list[str] = []
-        for node, depth in _walk_depth(self.roots):
+        append = parts.append
+        stack = [iter(self.roots)]
+        while stack:
+            depth = len(stack) - 1
             if depth == len(heads):
                 heads.append(heads[-1] + INDENT)
-            parts.append(heads[depth])
-            parts.append(node.line)
+            head = heads[depth]
+            for node in stack[-1]:
+                append(head)
+                append(node.line)
+                if node.children:
+                    stack.append(iter(node.children))
+                    break
+            else:
+                stack.pop()
         if parts:
             parts[0] = ""  # no newline before the first line
         return "".join(parts)
@@ -283,7 +297,7 @@ class TreeDocument:
     def __eq__(self, other: object):
         if not isinstance(other, TreeDocument):
             return NotImplemented
-        return self.serialize() == other.serialize()
+        return _same_shape(self.roots, other.roots) or _same_text(self.roots, other.roots)
 
     __hash__ = None
 
@@ -294,7 +308,8 @@ class TreeDocument:
 def _walk_depth(roots: Iterable[TreeNode]) -> Iterator[tuple[TreeNode, int]]:
     """Yield (node, depth) in document pre-order, iteratively.
 
-    The one walker of the core: documents can be deeper than the Python
+    The core's one depth-annotated walker, behind ``walk`` and the text
+    comparison of ``==``: documents can be deeper than the Python
     recursion limit.  The stack holds one child iterator per open level,
     so a node's depth is ``len(stack) - 1``.
     """
@@ -325,13 +340,56 @@ def _copy_roots(roots: list[TreeNode]) -> list[TreeNode]:
     return copies
 
 
-def _measure(roots: Iterable[TreeNode]) -> tuple[int, int]:
-    """(node count, depth of the deepest node) in one walk."""
+def _measure(roots: list[TreeNode]) -> tuple[int, int]:
+    """(node count, depth of the deepest node) in one walk, a level at a
+    time, so the depth is the count of levels below the roots."""
     count = deepest = 0
-    for count, (_, depth) in enumerate(_walk_depth(roots), 1):
-        if depth > deepest:
-            deepest = depth
-    return count, deepest
+    level = [roots]  # the sibling lists at depth ``deepest``
+    while True:
+        count += sum(map(len, level))
+        level = [node.children for siblings in level for node in siblings if node.children]
+        if not level:
+            return count, deepest
+        deepest += 1
+
+
+def _same_shape(xs: list[TreeNode], ys: list[TreeNode]) -> bool:
+    """Whether two sibling lists hold the same lines in the same shape.
+
+    Then their serializations are equal, so ``True`` is final; ``False``
+    is not, since trees of different shapes can share a text.
+    """
+    # Sibling lists in pairs that must match, a pair as two entries: each
+    # tuple held on the stack would be one more new object to the cyclic
+    # collector, and on a wide tree enough of them set off collections.
+    stack = [xs, ys]
+    while stack:
+        ys = stack.pop()
+        xs = stack.pop()
+        if len(xs) != len(ys):
+            return False
+        for x, y in zip(xs, ys):
+            if x.line != y.line:
+                return False
+            if x.children or y.children:
+                stack += x.children, y.children
+    return True
+
+
+def _raw_lines(roots: list[TreeNode]) -> Iterator[tuple[int, str]]:
+    """Each serialized line ``INDENT * depth + line`` in document order, as
+    (count of its leading indents, the rest), without building it.  No
+    lines and one empty line both serialize to "", so no roots read as one
+    empty root."""
+    for node, depth in _walk_depth(roots or [TreeNode()]):
+        rest = node.line.lstrip(INDENT)
+        yield depth + len(node.line) - len(rest), rest
+
+
+def _same_text(xs: list[TreeNode], ys: list[TreeNode]) -> bool:
+    """Whether ``xs`` and ``ys`` serialize to the same text, built for
+    neither: a text is its lines joined by newlines, which hold none."""
+    return all(starmap(eq, zip_longest(_raw_lines(xs), _raw_lines(ys))))
 
 
 def parse(text: str) -> TreeDocument:

@@ -6,6 +6,8 @@ import pickle
 import random
 import sys
 import threading
+import time
+import tracemalloc
 from itertools import zip_longest
 
 import pytest
@@ -220,6 +222,10 @@ def test_a_non_canonical_document_equals_its_reparse():
     # root with one child.  Equality compares serializations, not the
     # (depth, line) pairs of the two walks, which differ here.
     assert TreeDocument([TreeNode("a"), TreeNode(" b")]) == parse("a\n b")
+    # No lines and one empty line both serialize to "".
+    assert TreeDocument([TreeNode("")]) == TreeDocument() == TreeDocument([TreeNode("")])
+    assert TreeDocument() != TreeDocument([TreeNode(" ")])
+    assert TreeDocument() != TreeDocument([TreeNode("", [TreeNode("")])])
 
 
 def test_nodes_are_not_hashable():
@@ -230,6 +236,74 @@ def test_nodes_are_not_hashable():
 def test_node_equality():
     assert TreeNode("a", [TreeNode("b")]) == parse("a\n b").roots[0]
     assert TreeNode("a") != TreeNode("a", [TreeNode("b")])
+
+
+def _one_edit(doc: TreeDocument, rng: random.Random) -> TreeDocument:
+    """A copy of ``doc`` with one edit: a changed line, an appended leaf, or
+    the last child of a node moved to follow it, its line indented once."""
+    doc = doc.clone()
+    nodes = [node for _, node in doc.walk()]
+    kind = rng.randrange(3)
+    if kind == 0 and nodes:
+        rng.choice(nodes).set_line(rng.choice(("", " ", "a", " a", "b c")))
+    elif kind == 1:
+        rng.choice([doc, *nodes]).append_child(rng.choice(("", " ", "a")))
+    else:
+        # A leaf moved so keeps the text; a node with children does not.
+        for path, node in doc.walk():
+            if node.children and rng.random() < 0.5:
+                moved = node.children.pop()
+                parent = doc.get_node(path[:-1]) if len(path) > 1 else doc
+                parent.insert_child(path[-1] + 1, TreeNode(INDENT + moved.line, moved.children))
+                break
+    return doc
+
+
+def test_equality_agrees_with_serialization_equality():
+    rng = random.Random(25)
+    outcomes = set()
+    for seed in range(400):
+        a = _hand_built(random.Random(seed))
+        again = parse(serialize(a))
+        for b in (a.clone(), again, _one_edit(a, rng), _one_edit(again, rng), _hand_built(rng)):
+            pairs = [(a, b), (b, a)]
+            if a.roots and b.roots:
+                pairs.append((a.roots[0], b.roots[0]))
+            for x, y in pairs:
+                same_text = serialize(x) == serialize(y)
+                assert (x == y) is same_text
+                assert (x != y) is not same_text
+            outcomes.add((serialize(a) == serialize(b), core._same_shape(a.roots, b.roots)))
+    # Equal in shape, equal in text only, and unequal pairs were all seen.
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_equality_takes_linear_time_and_memory_at_any_depth():
+    # The text of a 100,000-level chain is about 5 GB of indent spaces, so
+    # == must decide without building it, in equal and unequal cases.
+    depth = 100_000
+    a, b = chain(depth, "x"), chain(depth, "x")
+    other_leaf, shorter = chain(depth, "y"), chain(depth - 1, "x")
+    started = time.perf_counter()
+    a.clone()
+    copy_s = time.perf_counter() - started
+    for x, y, equal in ((a, b, True), (a, other_leaf, False), (a, shorter, False), (shorter, a, False)):
+        started = time.perf_counter()
+        assert (x == y) is equal and (x != y) is not equal
+        assert (x.roots[0] == y.roots[0]) is equal
+        # Three comparisons, each one walk of both trees or two, against
+        # one copy of one tree, with room for a loaded machine.
+        assert time.perf_counter() - started < 50 * copy_s + 1.0, equal
+    tracemalloc.start()
+    try:
+        for y in (b, other_leaf):
+            tracemalloc.reset_peak()
+            assert (a == y) is (y is b)
+            # Two walks hold one child iterator per level: about 140 bytes
+            # a level, where the text would take 50,000.
+            assert tracemalloc.get_traced_memory()[1] < 500 * depth
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
