@@ -227,7 +227,7 @@ def to_json_typed(doc: TreeDocument) -> JsonValue:
         if node is not None:
             key, value = _decode(node, stack, keyed=isinstance(container, dict))
             if isinstance(value, (dict, list)):
-                stack.append((iter(node.children), value, key))
+                stack.append((iter(node._kids or ()), value, key))
                 continue
         else:
             # A container joins its parent only after all its children have.
@@ -258,7 +258,7 @@ def _decode(node: TreeNode, stack, keyed: bool):
     key, _, rest = rest.partition(WORD_SEP) if keyed else (None, sep, rest)
     if tag not in TAGS:
         raise _refuse(stack, UNKNOWN_NODE_TYPE, f"unknown tag {tag!r}", tag, TAGS)
-    if tag in ("n", "b", "z") and node.children:
+    if tag in ("n", "b", "z") and node._kids:
         raise _refuse(stack, ILLEGAL_CHILD, f"{TAGS[tag]} nodes do not take children", below=(0,))
     if tag in ("o", "a", "z"):
         if rest:
@@ -266,10 +266,10 @@ def _decode(node: TreeNode, stack, keyed: bool):
             raise _refuse(stack, ARITY_MISMATCH, f"{TAGS[tag]} node takes no {takes}, got {rest!r}")
         return key, {} if tag == "o" else [] if tag == "a" else None
     if tag == "s":
-        if node.children:
+        if node._kids:
             if rest:
                 raise _refuse(stack, CELL_TYPE_MISMATCH, "string node has both inline text and child lines")
-            return key, serialize(TreeDocument(node.children))
+            return key, serialize(TreeDocument(node._kids))
         return key, rest
     if rest == "":
         raise _refuse(stack, ARITY_MISMATCH, f"{TAGS[tag]} node is missing its value")
@@ -298,7 +298,7 @@ def to_map(doc: TreeDocument) -> "dict[str, str]":
     """Read a flat document as an ordered string map."""
     mapping: "dict[str, str]" = {}
     for i, root in enumerate(doc.roots):
-        if root.children:
+        if root._kids:
             raise _fail((i,), ILLEGAL_CHILD, "map entries take no children")
         key = root.first_word
         if key == "":

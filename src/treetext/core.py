@@ -93,11 +93,12 @@ _gc_was_enabled = False
 def _gc_paused(build: Callable[[], "list[TreeNode]"]) -> "list[TreeNode]":
     """Return ``build()``, run with the cyclic garbage collector paused.
 
-    A tree holds no reference cycles, yet every node allocates two
-    tracked objects, so while a large tree is built the collector would
-    rescan it again and again.  Pauses nest, also across threads: the
-    last one to end restores the collector's state from before the first
-    one began, so a collector the caller disabled stays disabled.
+    A tree holds no reference cycles, yet every node is a tracked object,
+    and so is an inner node's child list, so while a large tree is built
+    the collector would rescan it again and again.  Pauses nest, also
+    across threads: the last one to end restores the collector's state
+    from before the first one began, so a collector the caller disabled
+    stays disabled.
     """
     global _gc_pauses, _gc_was_enabled
     with _gc_lock:
@@ -126,15 +127,32 @@ class TreeNode:
     ``line`` is the node's text with its structural indentation removed;
     it may still begin with spaces if the source line was indented past
     its depth.  ``children`` is a plain mutable list.
+
+    A leaf holds no list: ``_kids`` is ``None`` until ``children`` is
+    first read, which creates the list.  So a fresh tree costs the cyclic
+    collector one tracked object per leaf, and the walkers read ``_kids``
+    and never create a list.
     """
 
-    __slots__ = ("line", "children")
+    __slots__ = ("line", "_kids")
 
     def __init__(self, line: str = "", children: Iterable[TreeNode] | None = None):
         if NEWLINE in line:  # _check_line's test, inlined: one call less per node built
             _check_line(line)
         self.line = line
-        self.children: list[TreeNode] = list(children) if children is not None else []
+        self._kids: list[TreeNode] | None = list(children) if children is not None else None
+
+    @property
+    def children(self) -> list[TreeNode]:
+        """The child list; reading it on a leaf creates it."""
+        kids = self._kids
+        if kids is None:
+            kids = self._kids = []
+        return kids
+
+    @children.setter
+    def children(self, children: list[TreeNode]) -> None:
+        self._kids = children
 
     # -- word access ---------------------------------------------------
 
@@ -175,7 +193,7 @@ class TreeNode:
 
     def clone(self) -> "TreeNode":
         """Deep copy of this subtree."""
-        if not self.children:  # a leaf builds one node: not worth a collector pause
+        if not self._kids:  # a leaf builds one node: not worth a collector pause
             return TreeNode(self.line)
         return TreeDocument([self]).clone().roots[0]
 
@@ -193,7 +211,7 @@ class TreeNode:
     __hash__ = None  # mutable
 
     def __repr__(self) -> str:
-        return f"TreeNode({self.line!r}, children={len(self.children)})"
+        return f"TreeNode({self.line!r}, children={len(self._kids or ())})"
 
 
 class TreeDocument:
@@ -214,7 +232,7 @@ class TreeDocument:
             if not 0 <= index < len(siblings):
                 return None
             node = siblings[index]
-            siblings = node.children
+            siblings = node._kids or ()
         return node
 
     def walk(self) -> Iterator[tuple[NodePath, TreeNode]]:
@@ -285,8 +303,8 @@ class TreeDocument:
             for node in stack[-1]:
                 append(head)
                 append(node.line)
-                if node.children:
-                    stack.append(iter(node.children))
+                if node._kids:
+                    stack.append(iter(node._kids))
                     break
             else:
                 stack.pop()
@@ -318,8 +336,8 @@ def _walk_depth(roots: Iterable[TreeNode]) -> Iterator[tuple[TreeNode, int]]:
         depth = len(stack) - 1
         for node in stack[-1]:
             yield node, depth
-            if node.children:
-                stack.append(iter(node.children))
+            if node._kids:
+                stack.append(iter(node._kids))
                 break
         else:
             stack.pop()
@@ -335,8 +353,9 @@ def _copy_roots(roots: list[TreeNode]) -> list[TreeNode]:
         for source in sources:
             node = TreeNode(source.line)
             targets.append(node)
-            if source.children:
-                stack.append((source.children, node.children))
+            if source._kids:
+                node._kids = kids = []
+                stack.append((source._kids, kids))
     return copies
 
 
@@ -347,7 +366,7 @@ def _measure(roots: list[TreeNode]) -> tuple[int, int]:
     level = [roots]  # the sibling lists at depth ``deepest``
     while True:
         count += sum(map(len, level))
-        level = [node.children for siblings in level for node in siblings if node.children]
+        level = [node._kids for siblings in level for node in siblings if node._kids]
         if not level:
             return count, deepest
         deepest += 1
@@ -371,8 +390,8 @@ def _same_shape(xs: list[TreeNode], ys: list[TreeNode]) -> bool:
         for x, y in zip(xs, ys):
             if x.line != y.line:
                 return False
-            if x.children or y.children:
-                stack += x.children, y.children
+            if x._kids or y._kids:
+                stack += x._kids or (), y._kids or ()
     return True
 
 
@@ -411,23 +430,30 @@ def _parse_lines(lines: list[str]) -> list[TreeNode]:
     # pass; the loop then only attaches the nodes.
     stripped = list(map(str.lstrip, lines, repeat(INDENT)))
     indents = map(sub, map(len, lines), map(len, stripped))
-    roots: list[TreeNode] = []
-    # kids[d] is the list that the next depth-d node joins, for every d up
-    # to top, the previous depth + 1; entries past top are stale.
-    kids = [roots]
+    # kids[d] is the list that the next depth-d node joins, for every d
+    # below top, the previous depth + 1; entries from top on are stale.  A
+    # node at depth top is the previous node's first child, and only it
+    # makes a list, so a leaf never gets one.  The document stands for the
+    # previous node of the first line.
+    document = previous = TreeNode()
+    kids: list[list[TreeNode]] = []
     top = 0
     for node, indent, raw in zip(map(TreeNode, stripped), indents, lines):
-        if indent > top:
-            # Surplus indentation stays in the line.
-            node.line = raw[top:]
-            indent = top
-        kids[indent].append(node)
-        top = indent + 1
-        try:
-            kids[top] = node.children
-        except IndexError:  # once per level, the first time it opens
-            kids.append(node.children)
-    return roots
+        if indent >= top:
+            if indent > top:
+                # Surplus indentation stays in the line.
+                node.line = raw[top:]
+            previous._kids = siblings = [node]
+            try:
+                kids[top] = siblings
+            except IndexError:  # once per level, the first time it opens
+                kids.append(siblings)
+            top += 1
+        else:
+            kids[indent].append(node)
+            top = indent + 1
+        previous = node
+    return document.children
 
 
 def serialize(doc: TreeDocument | TreeNode) -> str:

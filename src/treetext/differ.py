@@ -100,10 +100,10 @@ def _subtree_ids(*forests: "list[TreeNode]") -> "dict[int, int | str]":
     for roots in forests:
         levels = [roots]
         while levels[-1]:
-            levels.append([c for node in levels[-1] if node.children for c in node.children])
+            levels.append([c for node in levels[-1] if node._kids for c in node._kids])
         for level in reversed(levels):
             for node in level:
-                children = node.children
+                children = node._kids
                 if children:
                     key = (node.line, *[ids[id(c)] for c in children])
                     ids[id(node)] = keys.setdefault(key, len(keys))
@@ -141,7 +141,7 @@ def _diff_siblings(old, new, ops, ids, work) -> None:
                 word, count = DESCEND, 0
                 node = TreeNode(DESCEND)
                 ops.append(node)
-                work.append((old[i].children, new[j].children, node.children))
+                work.append((old[i]._kids or (), new[j]._kids or (), node.children))
             i += 1
             j += 1
         elif i < n and (j >= m or lcs(i + 1, j) >= lcs(i, j + 1)):
@@ -228,13 +228,13 @@ def apply_patch(patch: TreeDocument, doc: TreeDocument) -> TreeDocument:
             elif op.content:
                 raise PatchFormatError(f"{kind} takes no words", _path(trail, 0, k))
             elif kind == INSERT:
-                out.extend(op.children)
+                out.extend(op._kids or ())
             elif i >= len(source):
                 raise PatchMismatchError("descend overruns the sibling list", _path(trail, 1, i))
             else:
                 node = TreeNode(source[i].line)
                 out.append(node)
-                work.append((op.children, source[i].children, node.children, (k, i, trail)))
+                work.append((op._kids or (), source[i]._kids or (), node.children, (k, i, trail)))
                 i += 1
         if i != len(source):
             raise PatchMismatchError(f"patch left {len(source) - i} sibling(s) unconsumed", _path(trail, 1, i))
@@ -255,7 +255,7 @@ def _path(trail, side: int, last: int) -> NodePath:
 
 
 def _read_count(op: TreeNode, trail, k: int) -> int:
-    if op.children:
+    if op._kids:
         raise PatchFormatError(f"{op.first_word} takes no children", _path(trail, 0, k))
     words = op.words
     # ASCII digits only, as diff writes them: isdigit alone takes "²", which

@@ -293,7 +293,7 @@ def load_grammar(text: str) -> Grammar:
         if keyword == "grammar":
             if name is not None:
                 raise GrammarLoadError("duplicate grammar name", (i,))
-            if block.children:
+            if block._kids:
                 raise GrammarLoadError("grammar directive takes no children", (i,))
             name = block.content
         elif keyword in _BLOCKS:
@@ -302,9 +302,9 @@ def load_grammar(text: str) -> Grammar:
                 raise GrammarLoadError(f"duplicate {keyword} {def_name!r}", (i,))
             build, directives = _BLOCKS[keyword]
             fields: "dict[str, object]" = {}
-            for j, directive in enumerate(block.children):
+            for j, directive in enumerate(block._kids or ()):
                 path = (i, j)
-                if directive.children:
+                if directive._kids:
                     raise GrammarLoadError("directives take no children", path)
                 word = directive.first_word
                 entry = directives.get(word)
@@ -319,7 +319,7 @@ def load_grammar(text: str) -> Grammar:
             defs[keyword][def_name] = build(def_name, **fields)
         elif block.line != "":
             raise GrammarLoadError(f"unknown directive {keyword!r}", (i,))
-        elif block.children:
+        elif block._kids:
             raise GrammarLoadError("a blank line separates blocks and takes no indented lines", (i,))
 
     for path, keyword, ref in refs:
@@ -435,7 +435,7 @@ def _typed_walk(roots, lo, hi, grammar, errors, fix=False):
                     )
         yield node, node_type
 
-        children = node.children
+        children = node._kids
         if not children:
             continue
         if not context[0] and context[1] is None:
@@ -527,7 +527,7 @@ def compile_doc(doc: TreeDocument, grammar: Grammar) -> str:
     frames = [(TreeNode(), None, roots)]
     for node, node_type in typed:
         frames.append((node, node_type, []))
-        while len(frames[-1][2]) == len(frames[-1][0].children):
+        while len(frames[-1][2]) == len(frames[-1][0]._kids or ()):
             node, node_type, children = frames.pop()
             template = node_type.template
             try:

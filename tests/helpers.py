@@ -194,6 +194,17 @@ def reference_walk_depth(roots) -> "Iterator[tuple[TreeNode, int]]":
         stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
+def reference_levenshtein(a: str, b: str) -> int:
+    """Edit distance from the full ``(len(a) + 1) × (len(b) + 1)`` table,
+    kept as a reference for ``treetext.grammar.levenshtein``."""
+    table = [[i + j for j in range(len(b) + 1)] for i in range(len(a) + 1)]  # first row and column final
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            substitute = table[i - 1][j - 1] + (a[i - 1] != b[j - 1])
+            table[i][j] = min(table[i - 1][j] + 1, table[i][j - 1] + 1, substitute)
+    return table[-1][-1]
+
+
 def reference_parse_lines(lines: "list[str]") -> "list[TreeNode]":
     """``treetext.core._parse_lines`` as it was before the mapped pass:
     one stack of open nodes, with depth ``min(indent, len(stack))``.

@@ -33,8 +33,12 @@ from treetext import (
     TreeError,
     TreeNode,
     apply_patch,
+    autofix,
+    check,
     compile_doc,
+    diff,
     from_json_untyped,
+    load_builtin_grammar,
     load_grammar,
     parse,
     parse_parallel,
@@ -348,6 +352,13 @@ def test_get_node_paths():
     assert doc.get_node((-1,)) is None
 
 
+def test_get_node_one_past_the_last_sibling_is_none():
+    doc = parse("a\n b\nd")
+    assert doc.get_node((2,)) is None
+    assert doc.get_node((0, 1)) is None
+    assert doc.get_node((0, 0, 0)) is None
+
+
 def test_walk_is_preorder_with_paths():
     doc = parse("a\n b\n  c\nd")
     assert [(path, node.line) for path, node in doc.walk()] == [
@@ -411,6 +422,65 @@ def test_node_clone_takes_any_depth():
 
 
 # ---------------------------------------------------------------------------
+# a leaf's child list
+
+# A JsonTL document of 8 nodes, 6 of them leaves, that checks clean.
+_JSONTL_DOC = "o\n n a 1\n a b\n  b true\n  z\n  s x y\n s c xy\n o d"
+
+
+def _leaves(doc: TreeDocument) -> "list[TreeNode]":
+    return [node for _, node in doc.walk() if not node._kids]
+
+
+def test_a_parsed_leaf_makes_its_child_list_when_read():
+    doc = parse("a\n b\nc")
+    before = doc.clone()
+    leaf = doc.roots[0].children[0]
+    assert leaf._kids is None
+    kids = leaf.children
+    assert type(kids) is list and kids == [] and leaf.children is kids
+    kids.append(TreeNode("x"))
+    doc.roots[1].children.append(TreeNode("y"))
+    text = "a\n b\n  x\nc\n y"
+    assert serialize(doc) == text
+    assert doc == parse(text) and doc != before
+    assert serialize(doc.clone()) == text
+    patch = diff(before, doc)
+    assert serialize(patch) == "descend\n descend\n  insert\n   x\ndescend\n insert\n  y"
+    assert apply_patch(patch, before) == doc
+
+
+def test_pickle_and_copy_keep_leaves_and_inner_nodes():
+    doc = parse("a\n b\n  c\nd\n e\nf")
+    copies = [pickle.loads(pickle.dumps(doc, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies + [copy.copy(doc), copy.deepcopy(doc)]:
+        assert twin == doc and serialize(twin) == serialize(doc)
+        assert [leaf.line for leaf in _leaves(twin)] == ["c", "e", "f"]
+    for node in doc.roots:
+        assert pickle.loads(pickle.dumps(node)) == copy.copy(node) == copy.deepcopy(node) == node
+    assert [leaf._kids for leaf in _leaves(copies[0]) + _leaves(copy.deepcopy(doc))] == [None] * 6
+
+
+def test_no_library_call_makes_a_list_for_a_parsed_leaf():
+    jsontl = load_builtin_grammar("jsontl")
+    doc, other = parse(_JSONTL_DOC), parse(_JSONTL_DOC.replace("true", "false"))
+    leaves = _leaves(doc) + _leaves(other)
+    assert len(leaves) == 12 and doc.node_count() == 8
+    assert serialize(doc) == _JSONTL_DOC and doc == parse(_JSONTL_DOC) and doc != other
+    copies = [doc.clone(), doc.roots[0].clone()]
+    assert doc.max_depth() == 2 and [repr(doc.get_node(path)) for path, _ in doc.walk()]
+    assert check(doc, jsontl) == [] and compile_doc(doc, jsontl)
+    copies.append(autofix(doc, jsontl))
+    for a, b in ((doc, other), (other, doc)):
+        patch = diff(a, b)
+        copies += [patch, apply_patch(patch, a)]
+    assert to_json_typed(doc) == {"a": 1, "b": [True, None, "x y"], "c": "xy", "d": {}}
+    assert [leaf for leaf in leaves if leaf._kids is not None] == []
+    copies = [c if isinstance(c, TreeDocument) else TreeDocument([c]) for c in copies]
+    assert [leaf for c in copies for leaf in _leaves(c) if leaf._kids is not None] == []
+
+
+# ---------------------------------------------------------------------------
 # the core walker against the tuple-stack reference
 
 
@@ -465,6 +535,20 @@ def test_walkers_match_the_reference_on_deep_chains():
     # paths as many indices, so those two are checked at DEEP levels only.
     _assert_walkers_agree(chain(100_000, "leaf"), paths_and_text=False)
     _assert_walkers_agree(chain(DEEP, "leaf"))
+
+
+def test_serialize_memory_is_linear_in_its_output():
+    # Entering a level must not grow the per-depth head cache: 5,000 roots
+    # with one child each enter depth 1 5,000 times.
+    doc = TreeDocument(TreeNode(f"root {i}", [TreeNode(f"child {i}")]) for i in range(5000))
+    tracemalloc.start()
+    try:
+        text = serialize(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count(NEWLINE) == 9999
+    assert peak < 10 * len(text)
 
 
 def test_serialize_accepts_node_or_document():

@@ -195,6 +195,36 @@ def test_apply_descend_errors():
     assert info.value.path == (1,)
 
 
+@pytest.mark.parametrize(
+    "patch, error_type, message, path",
+    [
+        # A descend's trail holds its op index 1 and its source index 2, so
+        # a document path spelled from the op index, or a patch path from
+        # the source index, reads differently.
+        ("delete 2\ndescend\n keep 1", PatchMismatchError, "patch left 1 sibling(s) unconsumed", (2, 1)),
+        ("delete 2\ndescend\n keep 2\n descend", PatchMismatchError, "descend overruns the sibling list", (2, 2)),
+        ("delete 2\ndescend\n keep " + "9" * 5000, PatchFormatError, "keep count is too long", (1, 0)),
+        (
+            "delete 2\ndescend\n keep 0\n keep 1\n descend\n  delete 1",
+            PatchMismatchError,
+            "patch left 1 sibling(s) unconsumed",
+            (2, 1, 1),
+        ),
+        (
+            "delete 2\ndescend\n keep 0\n keep 1\n descend\n  delete " + "9" * 5000,
+            PatchFormatError,
+            "delete count is too long",
+            (1, 2, 0),
+        ),
+    ],
+)
+def test_errors_below_the_roots_match_the_reference(patch, error_type, message, path):
+    doc = parse("a\nb\nc\n x\n y\n  p\n  q")
+    expected = (error_type, f"{message} (at {error_type._where} {list(path)})", path)
+    assert _outcome(reference_apply_patch, parse(patch), doc) == expected
+    assert _outcome(apply_patch, parse(patch), doc) == expected
+
+
 def test_a_level_reads_all_its_ops_before_its_descends():
     with pytest.raises(PatchFormatError) as info:
         apply_patch(parse("descend\n kep 1\nhold 1"), parse("a\n b"))

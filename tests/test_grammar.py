@@ -20,6 +20,7 @@ from helpers import (
     reference_check,
     reference_compile_doc,
     reference_contexts,
+    reference_levenshtein,
     reference_load_grammar,
     spine,
 )
@@ -784,6 +785,13 @@ def test_levenshtein():
     assert levenshtein("s", "sx") == 1
     assert levenshtein("kitten", "sitting") == 3
     assert levenshtein("x", "a") == 1
+
+
+def test_levenshtein_matches_the_full_table():
+    rng = random.Random(2718)
+    for _ in range(3000):
+        a, b = ("".join(rng.choice("abc") for _ in range(rng.randint(0, 6))) for _ in range(2))
+        assert levenshtein(a, b) == levenshtein(b, a) == reference_levenshtein(a, b), (a, b)
 
 
 def test_suggest_tie_break_and_threshold():
